@@ -327,7 +327,11 @@ def compare_to_baseline(
     problems = []
     for name, ref_seconds in (reference.get("stages") or {}).items():
         now = stages.get(name)
-        if now is None or ref_seconds <= 0:
+        if now is None:
+            # A removed or renamed stage must not silently lose its gate.
+            problems.append(f"stage {name}: in the baseline but missing from this run")
+            continue
+        if ref_seconds <= 0:
             continue
         if now <= ref_seconds * (1.0 + max_regression) + ABSOLUTE_SLACK_SECONDS:
             continue
@@ -338,7 +342,10 @@ def compare_to_baseline(
         )
     for name, ref_mb in (reference.get("rss_mb") or {}).items():
         now = rss.get(name)
-        if now is None or ref_mb <= 0:
+        if now is None:
+            problems.append(f"peak RSS {name}: in the baseline but missing from this run")
+            continue
+        if ref_mb <= 0:
             continue
         if now <= ref_mb * (1.0 + max_regression) + ABSOLUTE_SLACK_MB:
             continue

@@ -227,7 +227,11 @@ def compare_to_baseline(
     problems = []
     for name, ref_seconds in reference.items():
         now = stages.get(name)
-        if now is None or not isinstance(ref_seconds, (int, float)) or ref_seconds <= 0:
+        if now is None:
+            # A removed or renamed stage must not silently lose its gate.
+            problems.append(f"stage {name}: in the baseline but missing from this run")
+            continue
+        if not isinstance(ref_seconds, (int, float)) or ref_seconds <= 0:
             continue
         if now <= ref_seconds * (1.0 + max_regression) + ABSOLUTE_SLACK_SECONDS:
             continue

@@ -29,7 +29,7 @@ mapped to the sets of concrete nodes each abstract hop stands for, so a
 report can name real devices (see :func:`lift_counterexample`).
 
 The aggregated :class:`VerificationReport` is JSON-serialisable and is
-what ``python -m repro.pipeline --verify``, the differential test harness
+what ``python -m repro.pipeline verify``, the differential test harness
 and the CI benchmark artifact all consume.
 """
 

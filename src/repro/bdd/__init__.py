@@ -1,22 +1,10 @@
 """Binary decision diagrams: the canonical policy representation substrate."""
 
-from repro.bdd.arrays import ArrayBddManager
-from repro.bdd.backend import (
-    BACKEND_ENV_VAR,
-    DEFAULT_BACKEND,
-    available_backends,
-    make_manager,
-    register_backend,
-    resolve_backend,
-)
 from repro.bdd.manager import FALSE, TRUE, BddError, BddManager
 from repro.bdd.bitvector import BitVector
 from repro.bdd.policy import PolicyBddEncoder, UNCHANGED
 
 __all__ = [
-    "ArrayBddManager",
-    "BACKEND_ENV_VAR",
-    "DEFAULT_BACKEND",
     "FALSE",
     "TRUE",
     "BddError",
@@ -24,8 +12,4 @@ __all__ = [
     "BitVector",
     "PolicyBddEncoder",
     "UNCHANGED",
-    "available_backends",
-    "make_manager",
-    "register_backend",
-    "resolve_backend",
 ]

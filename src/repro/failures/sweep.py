@@ -25,7 +25,7 @@ Per (class, scenario) the task records:
   re-compression.
 
 The aggregated :class:`FailureReport` is JSON-serialisable and consumed
-by ``python -m repro.pipeline --failures``, the failure-sweep benchmark
+by ``python -m repro.pipeline failures``, the failure-sweep benchmark
 stage and the CI smoke job.
 """
 

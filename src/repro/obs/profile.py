@@ -11,9 +11,13 @@ code is hot *inside* which span" rather than just "which code is hot":
   count -- exported in the standard collapsed-stack ``folded`` format
   (``span;frame;frame count``) that flamegraph tooling consumes
   directly;
-* every sample credits ``interval_ms`` of CPU self-time to the deepest
-  open span (``Span.cpu_ms``), which ``trace summarize --top`` reports
-  alongside wall self-time.
+* every sample credits the wall time elapsed since the previous sample
+  to the deepest open span (``Span.sampled_ms``), which ``trace
+  summarize --top`` reports alongside wall self-time.  It is sampled
+  *wall* time, not CPU time: a span blocked in ``sleep`` or I/O is
+  credited too.  Crediting elapsed time rather than the nominal interval
+  keeps the figure honest when the sampler wakes late (it competes for
+  the GIL with the threads it samples).
 
 Scope and overhead: only threads of the *coordinator* process are
 sampled -- process-pool workers live in other interpreters and ship
@@ -23,7 +27,7 @@ span subtrees, not frames.  When profiling is off the pipelines hold a
 
 Stack reads are GIL-atomic snapshots; a sample may occasionally land on
 a span in the instant it closes, which at worst credits one interval to
-a just-finished span -- noise far below the sampling resolution.
+a just-finished span -- noise at the sampling resolution.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ import json
 import os
 import sys
 import threading
+import time
 from typing import Dict, List, Optional, Tuple
 
 #: Bumped when the profile JSONL format changes shape.
@@ -116,7 +121,11 @@ class SamplingProfiler:
 
         interval_s = self.interval_ms / 1000.0
         own_ident = threading.get_ident()
+        previous = time.perf_counter()
         while not self._stop.wait(interval_s):
+            now = time.perf_counter()
+            elapsed_ms = (now - previous) * 1000.0
+            previous = now
             frames = sys._current_frames()
             stacks = trace.thread_stacks()
             with self._lock:
@@ -126,7 +135,7 @@ class SamplingProfiler:
                     span_stack = stacks.get(ident)
                     if span_stack:
                         span = span_stack[-1]
-                        span.cpu_ms += self.interval_ms
+                        span.sampled_ms += elapsed_ms
                         span_path = ";".join(s.name for s in span_stack)
                     else:
                         span_path = NO_SPAN

@@ -43,7 +43,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 from repro.obs import metrics
 
 #: Bumped when the JSONL trace format changes shape.
-TRACE_SCHEMA_VERSION = 1
+TRACE_SCHEMA_VERSION = 2
 
 _ENABLED = False
 _ROOT: Optional["Span"] = None
@@ -61,7 +61,7 @@ class Span:
     """One timed, tagged node in the trace tree."""
 
     __slots__ = (
-        "name", "tags", "duration_ms", "cpu_ms", "children", "metrics",
+        "name", "tags", "duration_ms", "sampled_ms", "children", "metrics",
         "_t0", "_counters0",
     )
 
@@ -69,9 +69,9 @@ class Span:
         self.name = name
         self.tags: Dict[str, object] = tags or {}
         self.duration_ms: float = 0.0
-        #: CPU self-time credited by the sampling profiler (sample count
-        #: times sampling interval); stays 0.0 when no profiler ran.
-        self.cpu_ms: float = 0.0
+        #: Sampled wall time credited by the sampling profiler (each sample
+        #: adds the time since the previous one); 0.0 when no profiler ran.
+        self.sampled_ms: float = 0.0
         self.children: List[Span] = []
         #: Counter delta accrued while the span was open (inclusive).
         self.metrics: Dict[str, float] = {}
@@ -111,7 +111,7 @@ class Span:
             "name": self.name,
             "tags": self.tags,
             "dur_ms": self.duration_ms,
-            "cpu_ms": self.cpu_ms,
+            "sampled_ms": self.sampled_ms,
             "metrics": self.metrics,
             "children": [child.to_dict() for child in self.children],
         }
@@ -120,7 +120,7 @@ class Span:
     def from_dict(cls, data: Dict[str, object]) -> "Span":
         span = cls(str(data["name"]), dict(data.get("tags") or {}))
         span.duration_ms = float(data.get("dur_ms") or 0.0)
-        span.cpu_ms = float(data.get("cpu_ms") or 0.0)
+        span.sampled_ms = float(data.get("sampled_ms") or 0.0)
         span.metrics = dict(data.get("metrics") or {})
         span.children = [cls.from_dict(child) for child in data.get("children") or []]
         return span
@@ -296,7 +296,7 @@ def merge_chunk_spans(chunks: List[Dict[str, object]]) -> Dict[str, object]:
     merged["tags"] = {k: v for k, v in (chunks[0].get("tags") or {}).items() if k != "chunk"}
     merged["children"] = [child for chunk in chunks for child in chunk.get("children") or []]
     merged["dur_ms"] = sum(float(chunk.get("dur_ms") or 0.0) for chunk in chunks)
-    merged["cpu_ms"] = sum(float(chunk.get("cpu_ms") or 0.0) for chunk in chunks)
+    merged["sampled_ms"] = sum(float(chunk.get("sampled_ms") or 0.0) for chunk in chunks)
     totals: Dict[str, float] = {}
     for chunk in chunks:
         for key, amount in (chunk.get("metrics") or {}).items():
@@ -334,7 +334,7 @@ def write_jsonl(path: str, root: Span, context: Optional[Dict[str, object]] = No
                 "tags": span.tags,
                 "dur_ms": round(span.duration_ms, 3),
                 "self_ms": round(span.self_ms(), 3),
-                "cpu_ms": round(span.cpu_ms, 3),
+                "sampled_ms": round(span.sampled_ms, 3),
                 "metrics": span.metrics,
             }, sort_keys=True) + "\n")
             for child in span.children:
@@ -363,7 +363,7 @@ def read_jsonl(path: str) -> Tuple[Dict[str, object], Span]:
             )
         span_ = Span(str(record["name"]), dict(record.get("tags") or {}))
         span_.duration_ms = float(record.get("dur_ms") or 0.0)
-        span_.cpu_ms = float(record.get("cpu_ms") or 0.0)
+        span_.sampled_ms = float(record.get("sampled_ms") or 0.0)
         span_.metrics = dict(record.get("metrics") or {})
         spans[int(record["id"])] = span_
         parent = record.get("parent")
@@ -387,17 +387,17 @@ def read_jsonl(path: str) -> Tuple[Dict[str, object], Span]:
 
 
 def hotspots(root: Span, top: int = 10) -> List[Dict[str, object]]:
-    """Top span names by aggregate self time (plus sampled CPU self-time
+    """Top span names by aggregate self time (plus sampled wall time
     when a profiler ran alongside the trace)."""
     totals: Dict[str, Dict[str, float]] = {}
     for node in root.walk():
         entry = totals.setdefault(
-            node.name, {"count": 0, "total_ms": 0.0, "self_ms": 0.0, "cpu_ms": 0.0}
+            node.name, {"count": 0, "total_ms": 0.0, "self_ms": 0.0, "sampled_ms": 0.0}
         )
         entry["count"] += 1
         entry["total_ms"] += node.duration_ms
         entry["self_ms"] += node.self_ms()
-        entry["cpu_ms"] += node.cpu_ms
+        entry["sampled_ms"] += node.sampled_ms
     ranked = sorted(totals.items(), key=lambda item: (-item[1]["self_ms"], item[0]))
     return [
         {
@@ -405,7 +405,7 @@ def hotspots(root: Span, top: int = 10) -> List[Dict[str, object]]:
             "count": int(entry["count"]),
             "total_ms": round(entry["total_ms"], 3),
             "self_ms": round(entry["self_ms"], 3),
-            "cpu_ms": round(entry["cpu_ms"], 3),
+            "sampled_ms": round(entry["sampled_ms"], 3),
         }
         for name, entry in ranked[:top]
     ]
@@ -429,10 +429,10 @@ def tree_lines(root: Span, max_depth: int = 4, max_children: int = 8) -> List[st
     def render(span: Span, depth: int) -> None:
         tags = " ".join(f"{k}={v}" for k, v in sorted(span.tags.items(), key=lambda kv: str(kv[0])))
         label = f"{span.name}" + (f" [{tags}]" if tags else "")
-        cpu = f", cpu {span.cpu_ms:.1f}ms" if span.cpu_ms else ""
+        sampled = f", sampled {span.sampled_ms:.1f}ms" if span.sampled_ms else ""
         lines.append(
             f"{'  ' * depth}{label}  {span.duration_ms:.1f}ms"
-            f" (self {span.self_ms():.1f}ms{cpu})"
+            f" (self {span.self_ms():.1f}ms{sampled})"
         )
         if depth + 1 > max_depth:
             if span.children:

@@ -13,7 +13,8 @@ provides the batching/fan-out/aggregation machinery:
 * :class:`PipelineReport` / :class:`EcRecord` -- aggregated, JSON-ready
   results;
 * ``python -m repro.pipeline`` -- a CLI over the generated topology
-  families (compression by default, batch verification with ``--verify``).
+  families, one subcommand per pillar (``compress``, ``verify``,
+  ``failures``, ``delta``, ...).
 """
 
 from repro.pipeline.core import (

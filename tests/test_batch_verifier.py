@@ -276,7 +276,7 @@ class TestVerifyCli:
         out = tmp_path / "report.json"
         code = pipeline_main(
             [
-                "--verify",
+                "verify",
                 "--family",
                 "mesh",
                 "--size",
@@ -296,7 +296,7 @@ class TestVerifyCli:
         out = tmp_path / "all.json"
         code = pipeline_main(
             [
-                "--verify",
+                "verify",
                 "--family",
                 "all",
                 "--executor",
@@ -317,14 +317,14 @@ class TestVerifyCli:
         capsys.readouterr()
 
     def test_verify_defaults_size_per_family(self, capsys):
-        assert pipeline_main(["--verify", "--family", "ring", "--executor", "serial"]) == 0
+        assert pipeline_main(["verify", "--family", "ring", "--executor", "serial"]) == 0
         assert "ring(8)" in capsys.readouterr().out
 
     def test_verify_with_property_selection(self, tmp_path):
         out = tmp_path / "report.json"
         code = pipeline_main(
             [
-                "--verify",
+                "verify",
                 "--topo",
                 "mesh",
                 "--size",
@@ -345,14 +345,14 @@ class TestVerifyCli:
 
     def test_verify_unknown_property_is_usage_error(self):
         code = pipeline_main(
-            ["--verify", "--family", "mesh", "--properties", "bogus"]
+            ["verify", "--family", "mesh", "--properties", "bogus"]
         )
         assert code == 2
 
     def test_verify_timeout_exit_code(self, capsys):
         code = pipeline_main(
             [
-                "--verify",
+                "verify",
                 "--family",
                 "mesh",
                 "--size",
@@ -367,16 +367,19 @@ class TestVerifyCli:
         assert "TIMED OUT" in capsys.readouterr().out
 
     def test_verify_flags_require_verify(self, capsys):
-        code = pipeline_main(["--family", "mesh", "--properties", "reachability"])
+        code = pipeline_main(
+            ["compress", "--family", "mesh", "--properties", "reachability"]
+        )
         assert code == 2
-        assert "--verify" in capsys.readouterr().err
-        assert pipeline_main(["--topo", "mesh", "--timeout", "5"]) == 2
+        assert "--properties" in capsys.readouterr().err
+        assert pipeline_main(["compress", "--topo", "mesh", "--timeout", "5"]) == 2
+        assert "--timeout" in capsys.readouterr().err
 
     def test_exhausted_budget_skips_remaining_families(self, capsys):
         """With --family all and a zero budget, no family pays the network
         build / BDD encoding cost: every report is a timed-out stub."""
         code = pipeline_main(
-            ["--verify", "--family", "all", "--executor", "serial", "--timeout", "0"]
+            ["verify", "--family", "all", "--executor", "serial", "--timeout", "0"]
         )
         assert code == 1
         out = capsys.readouterr().out
@@ -384,14 +387,17 @@ class TestVerifyCli:
         assert "equivalence classes: 0" in out
 
     def test_topo_and_family_conflict(self, capsys):
-        assert pipeline_main(["--topo", "mesh", "--family", "ring"]) == 2
+        assert pipeline_main(["compress", "--topo", "mesh", "--family", "ring"]) == 2
 
     def test_family_required(self):
-        assert pipeline_main(["--verify"]) == 2
+        assert pipeline_main(["verify"]) == 2
 
-    def test_family_all_requires_verify(self):
-        assert pipeline_main(["--family", "all"]) == 2
+    def test_compress_family_all_runs_every_family(self, capsys):
+        assert pipeline_main(["compress", "--family", "all", "--executor", "serial"]) == 0
+        out = capsys.readouterr().out
+        for family in ("datacenter", "fattree", "mesh", "ring", "wan"):
+            assert f"compression pipeline: {family}(" in out
 
     def test_compress_mode_defaults_size(self, capsys):
-        assert pipeline_main(["--topo", "mesh", "--executor", "serial"]) == 0
+        assert pipeline_main(["compress", "--topo", "mesh", "--executor", "serial"]) == 0
         assert "mesh(6)" in capsys.readouterr().out

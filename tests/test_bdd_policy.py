@@ -2,9 +2,11 @@
 
 import pytest
 
+from repro.abstraction.bonsai import Bonsai
 from repro.bdd import PolicyBddEncoder
 from repro.config import Prefix, parse_network
 from repro.config.transfer import compile_edges
+from repro.netgen.families import TOPOLOGY_FAMILIES, build_topology
 
 #: Two leaves with semantically identical (but differently written)
 #: policies, one leaf with a genuinely different policy, and a hub.
@@ -190,3 +192,30 @@ class TestSpecializationCache:
             b = uncached.specialized_policy_keys(destination, compiled)
             # Same manager state evolution => identical BDD identities.
             assert a == b
+
+
+class TestBoundedManagerCache:
+    """``bdd_cache_limit`` bounds the encoder's manager and changes no
+    abstraction Bonsai builds from it."""
+
+    def test_limit_reaches_the_manager(self, network):
+        assert PolicyBddEncoder(network).manager.cache_limit is None
+        bounded = PolicyBddEncoder(network, bdd_cache_limit=7)
+        assert bounded.manager.cache_limit == 7
+        bounded.encode_all_edges()
+        assert bounded.manager.ite_cache_size() <= 7
+
+    @pytest.mark.parametrize("family", sorted(TOPOLOGY_FAMILIES))
+    def test_bounded_cache_gives_same_abstractions(self, family):
+        network = build_topology(family)
+        groups = {}
+        for limit in (None, 1):
+            encoder = PolicyBddEncoder(network, bdd_cache_limit=limit)
+            encoder.encode_all_edges()
+            bonsai = Bonsai(network, encoder=encoder)
+            groups[limit] = [
+                frozenset(bonsai.compress(ec, build_network=False).abstraction.groups())
+                for ec in bonsai.equivalence_classes()
+            ]
+        assert groups[None]
+        assert groups[None] == groups[1]

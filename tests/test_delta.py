@@ -517,14 +517,14 @@ class TestDeltaCli:
         out = tmp_path / "delta.json"
         status = pipeline_main(
             [
-                "--delta",
+                "delta",
                 "--family",
                 "ring",
                 "--size",
                 "5",
                 "--executor",
                 "serial",
-                "--report-out",
+                "--output",
                 str(out),
             ]
         )
@@ -544,7 +544,7 @@ class TestDeltaCli:
         out = tmp_path / "delta.json"
         status = pipeline_main(
             [
-                "--delta",
+                "delta",
                 "--family",
                 "ring",
                 "--size",
@@ -565,28 +565,28 @@ class TestDeltaCli:
         script_file = tmp_path / "changes.json"
         script_file.write_text('[{"kind": "nonsense"}]')
         status = pipeline_main(
-            ["--delta", "--family", "ring", "--size", "4", "--changes", str(script_file)]
+            ["delta", "--family", "ring", "--size", "4", "--changes", str(script_file)]
         )
         assert status == 2
         assert "change script" in capsys.readouterr().err
 
     def test_delta_flags_require_mode(self, capsys):
-        assert pipeline_main(["--topo", "ring", "--changes", "generated"]) == 2
-        assert "--delta" in capsys.readouterr().err
-        assert pipeline_main(["--topo", "ring", "--no-revalidate"]) == 2
-        assert "--delta" in capsys.readouterr().err
+        assert pipeline_main(["compress", "--topo", "ring", "--changes", "generated"]) == 2
+        assert "--changes" in capsys.readouterr().err
+        assert pipeline_main(["compress", "--topo", "ring", "--no-revalidate"]) == 2
+        assert "--no-revalidate" in capsys.readouterr().err
 
     def test_cross_mode_flags_rejected(self, capsys):
         """A mode must reject the other modes' flags, not drop them."""
         assert (
-            pipeline_main(["--failures", "--topo", "ring", "--changes", "x.json"])
+            pipeline_main(["failures", "--topo", "ring", "--changes", "x.json"])
             == 2
         )
-        assert "--delta" in capsys.readouterr().err
-        assert pipeline_main(["--delta", "--topo", "ring", "--k", "2"]) == 2
-        assert "--failures" in capsys.readouterr().err
-        assert pipeline_main(["--verify", "--topo", "ring", "--sample", "3"]) == 2
-        assert "--failures" in capsys.readouterr().err
+        assert "--changes" in capsys.readouterr().err
+        assert pipeline_main(["delta", "--topo", "ring", "--k", "2"]) == 2
+        assert "--k" in capsys.readouterr().err
+        assert pipeline_main(["verify", "--topo", "ring", "--sample", "3"]) == 2
+        assert "--sample" in capsys.readouterr().err
 
     def test_steps_and_seed_rejected_with_script_file(self, tmp_path, capsys):
         network = build_topology("ring", 4)
@@ -598,7 +598,7 @@ class TestDeltaCli:
         assert (
             pipeline_main(
                 [
-                    "--delta",
+                    "delta",
                     "--topo",
                     "ring",
                     "--changes",
@@ -612,5 +612,8 @@ class TestDeltaCli:
         assert "--steps" in capsys.readouterr().err
 
     def test_modes_are_exclusive(self, capsys):
-        assert pipeline_main(["--delta", "--failures", "--topo", "ring"]) == 2
-        assert "at most one" in capsys.readouterr().err
+        """One invocation runs one mode: another mode's name is not a flag."""
+        assert pipeline_main(["delta", "--failures", "--topo", "ring"]) == 2
+        assert "--failures" in capsys.readouterr().err
+        assert pipeline_main(["failures", "--delta", "--topo", "ring"]) == 2
+        assert "--delta" in capsys.readouterr().err

@@ -221,3 +221,21 @@ class TestExecutorDifferentialParity:
         ).run()
         assert serial.canonical_records() == parallel.canonical_records()
         assert parallel.verdicts_agree()
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="known abstraction-soundness defect on WANs with >= 4 core routers "
+    "(see perfbench/NOTES.md, 'Known defect'): abstract and concrete verdicts "
+    "disagree; a fix flips this test to passing",
+)
+def test_wan_with_four_core_routers_is_sound():
+    """The smallest known reproduction of the WAN soundness defect: 7 of
+    its 15 classes disagree under the serial verifier."""
+    from repro.netgen.wan import WanParams, wan_network
+
+    network = wan_network(
+        WanParams(core_routers=4, regions=3, access_per_region=4, static_access_per_region=1)
+    )
+    report = BatchVerifier(network, executor="serial").run()
+    assert all(record.agrees() for record in report.records)

@@ -520,7 +520,7 @@ class TestFailuresCli:
         out = tmp_path / "failures.json"
         status = pipeline_main(
             [
-                "--failures",
+                "failures",
                 "--family",
                 "ring",
                 "--size",
@@ -537,21 +537,21 @@ class TestFailuresCli:
         assert "failure sweep: ring(5)" in capsys.readouterr().out
 
     def test_failures_flags_require_mode(self, capsys):
-        assert pipeline_main(["--topo", "ring", "--sample", "3"]) == 2
-        assert "--failures" in capsys.readouterr().err
+        assert pipeline_main(["compress", "--topo", "ring", "--sample", "3"]) == 2
+        assert "--sample" in capsys.readouterr().err
         # --k and --seed are guarded too, not silently ignored.
-        assert pipeline_main(["--topo", "ring", "--k", "2"]) == 2
+        assert pipeline_main(["compress", "--topo", "ring", "--k", "2"]) == 2
         assert "--k" in capsys.readouterr().err
-        assert pipeline_main(["--topo", "ring", "--seed", "5"]) == 2
+        assert pipeline_main(["compress", "--topo", "ring", "--seed", "5"]) == 2
         assert "--seed" in capsys.readouterr().err
 
     def test_verify_and_failures_are_exclusive(self, capsys):
-        assert pipeline_main(["--verify", "--failures", "--topo", "ring"]) == 2
+        assert pipeline_main(["verify", "failures", "--topo", "ring"]) == 2
 
     def test_timeout_rejected_in_failures_mode(self, capsys):
         assert (
             pipeline_main(
-                ["--failures", "--topo", "ring", "--size", "4", "--timeout", "5"]
+                ["failures", "--topo", "ring", "--size", "4", "--timeout", "5"]
             )
             == 2
         )
@@ -559,7 +559,7 @@ class TestFailuresCli:
     def test_properties_flag_works_with_failures(self, tmp_path):
         status = pipeline_main(
             [
-                "--failures",
+                "failures",
                 "--family",
                 "ring",
                 "--size",

@@ -1,5 +1,5 @@
 """Tests for the span-scoped sampling profiler (repro.obs.profile):
-sample attribution to open spans, CPU self-time credit, the folded
+sample attribution to open spans, sampled wall-time credit, the folded
 flamegraph export, the null profiler, file round trips and their
 adversarial rejections, and the CLI integration."""
 
@@ -52,10 +52,21 @@ class TestSamplingProfiler:
         assert profiler.sample_count > 0
         span_paths = {span for span, _ in profiler.samples}
         assert any("hot-section" in path for path in span_paths)
-        # CPU self-time was credited to the sampled span.
+        # Sampled wall time was credited to the sampled span.
         hot = root.children[0]
         assert hot.name == "hot-section"
-        assert hot.cpu_ms > 0
+        assert hot.sampled_ms > 0
+
+    def test_busy_span_credits_its_sampled_wall_time(self):
+        """Each sample credits the time since the previous one, so the
+        figure tracks the span's wall time even when the sampler wakes
+        late (it competes for the GIL with the busy thread)."""
+        trace.begin("run", command="test")
+        with profile.SamplingProfiler(interval_ms=5.0):
+            with trace.span("busy"):
+                _busy(0.5)
+        root = trace.end()
+        assert root.children[0].sampled_ms == pytest.approx(500.0, rel=0.2)
 
     def test_samples_without_span_use_sentinel(self):
         profiler = profile.SamplingProfiler(interval_ms=1.0)
@@ -223,6 +234,26 @@ class TestProfileCli:
         code = pipeline_main(["profile", "summarize", str(src), "--top", "3"])
         assert code == 0
         assert "samples" in capsys.readouterr().out
+
+    def test_trace_summarize_labels_sampled_time(self, tmp_path, capsys):
+        trace.begin("run", command="test")
+        with trace.span("busy"):
+            pass
+        root = trace.end()
+        root.children[0].sampled_ms = 12.0
+        path = tmp_path / "run.trace.jsonl"
+        trace.write_jsonl(str(path), root, context={"command": "test"})
+        assert pipeline_main(["trace", "summarize", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "sampled 12.0ms" in out
+        assert not [line for line in out.splitlines() if "cpu" in line.lower()]
+
+    def test_tree_lines_label_sampled_time(self):
+        root = trace.Span("run")
+        root.duration_ms = 20.0
+        root.sampled_ms = 12.0
+        (line,) = trace.tree_lines(root)
+        assert "sampled 12.0ms" in line and "cpu" not in line.lower()
 
     def test_rejects_corrupt_file_with_diagnostic(self, tmp_path, capsys):
         path = tmp_path / "bad.jsonl"
