@@ -96,7 +96,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="comma-separated topology families to run",
     )
     parser.add_argument("--workers", type=int, default=4)
-    parser.add_argument("--executor", choices=("process", "thread"), default="process")
+    parser.add_argument("--executor", choices=("process",), default="process")
     parser.add_argument("--batch-size", type=int, default=None)
     parser.add_argument("--repeat", type=int, default=1, help="keep the best of N runs")
     parser.add_argument("--quick", action="store_true", help="shrink every workload")

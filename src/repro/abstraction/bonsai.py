@@ -340,7 +340,7 @@ class Bonsai:
         The classes are independent (§5.1), so the work is delegated to the
         :mod:`repro.pipeline` subsystem.  By default it runs serially on
         this instance's encoder; passing ``workers`` (and optionally an
-        ``executor`` of ``"process"`` or ``"thread"``) fans the classes out
+        ``executor="process"``) fans the classes out
         over a pool, with the one-time BDD encoding shared via a pickled
         artifact.  The aggregated :class:`~repro.pipeline.report.PipelineReport`
         of the last run is kept on ``self.last_report``.

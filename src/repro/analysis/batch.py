@@ -12,7 +12,7 @@ simulate the abstract control plane, evaluate every property on every
 node, lift abstract verdicts back through the abstraction mapping -- is
 registered as the ``"verify"`` task of the generic
 :class:`~repro.pipeline.core.ClassFanOut` engine, so it fans out over the
-same serial/thread/process executors as compression itself.
+same serial/process executors as compression itself.
 
 Verdict lifting
 ---------------
@@ -36,7 +36,6 @@ and the CI benchmark artifact all consume.
 from __future__ import annotations
 
 import importlib
-import json
 import time
 from dataclasses import asdict, dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
@@ -330,23 +329,11 @@ class VerificationReport(ReportEnvelope):
         }
         return data
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
     @classmethod
-    def from_dict(cls, data: Dict) -> "VerificationReport":
-        payload = cls.strip_envelope(data)
-        payload.pop("aggregate", None)
-        records = []
-        for raw in payload.pop("records", []):
-            raw = dict(raw)
-            verdicts = [PropertyVerdict(**verdict) for verdict in raw.pop("verdicts", [])]
-            records.append(ClassVerificationRecord(verdicts=verdicts, **raw))
-        return cls(records=records, **payload)
-
-    @classmethod
-    def from_json(cls, text: str) -> "VerificationReport":
-        return cls.from_dict(json.loads(text))
+    def record_from_payload(cls, payload: Dict) -> ClassVerificationRecord:
+        raw = dict(payload)
+        verdicts = [PropertyVerdict(**verdict) for verdict in raw.pop("verdicts", [])]
+        return ClassVerificationRecord(verdicts=verdicts, **raw)
 
     # ------------------------------------------------------------------
     # Display
@@ -641,7 +628,7 @@ class BatchVerifier:
 
     The per-class work is dispatched through the pipeline's
     :class:`~repro.pipeline.core.ClassFanOut` engine, so it scales over the
-    same ``serial`` / ``thread`` / ``process`` executors as compression,
+    same ``serial`` / ``process`` executors as compression,
     and the one-time :class:`~repro.pipeline.encoded.EncodedNetwork`
     artifact can be shared between arms.
 

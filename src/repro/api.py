@@ -9,8 +9,9 @@ pillars as methods -- :meth:`verify`, :meth:`failures`, :meth:`delta`,
 an :class:`~repro.store.ArtifactStore`.
 
 The warm paths are the point: :meth:`verify` answers off the stored
-forwarding tables and compressions (no re-solve, no re-compression) and
-:meth:`delta` validates change scripts with zero baseline re-solves.
+forwarding tables and compressions (no re-solve, no re-compression);
+:meth:`failures` and :meth:`delta` sweep failure scenarios and change
+scripts with zero baseline re-solves and re-compressions.
 """
 
 from __future__ import annotations
@@ -286,12 +287,13 @@ class Session:
         properties: Optional[Sequence[str]] = None,
         **kwargs,
     ) -> FailureReport:
-        """k-failure sweep over the session's network (shared encoding)."""
+        """k-failure sweep over the session's network against the stored
+        baseline: every class reads its labeling, transfer memo and
+        compression from the store instead of re-solving and
+        re-compressing."""
         suite = None if properties is None else PropertySuite.from_names(list(properties))
         kwargs.setdefault("executor", "serial")
-        return FailureSweep(
-            artifact=self.baseline.encoded, k=k, suite=suite, **kwargs
-        ).run()
+        return FailureSweep(baseline=self.baseline, k=k, suite=suite, **kwargs).run()
 
     def k_resilience(
         self, max_k: int = 2, prop: str = "reachability", **kwargs

@@ -1,11 +1,12 @@
 """Configuration change-impact analysis: what-if sweeps over compression.
 
-The fifth pillar of the system next to compression, verification,
-hot-paths and failure analysis: model configuration *changes* as typed
-first-class values, re-verify the changed control plane *incrementally*
-from the unchanged baseline, and decide -- per destination class --
-whether the baseline Bonsai abstraction survives the change (reuse) or
-must be re-compressed (dirty classes only).
+This package holds the what-if engine (:mod:`repro.delta.engine`) and the
+seeded re-solve (:mod:`repro.delta.incremental`) shared with failure
+sweeps (:mod:`repro.failures`, the engine's independent-steps mode).
+Change scripts are its chained mode: typed configuration edits,
+re-verified *incrementally* from the previous step, with a per-class
+decision whether the baseline Bonsai abstraction survives the change
+(reuse) or must be re-compressed (dirty classes only).
 """
 
 from repro.delta.changeset import (

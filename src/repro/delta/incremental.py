@@ -1,50 +1,46 @@
-"""Incremental re-solve of an SRP under an arbitrary configuration delta.
+"""Incremental re-solve of an SRP under a perturbation of its edges.
 
-This generalises :mod:`repro.failures.incremental` from "edges
-disappeared" to "the compiled transfer of some edges changed": a config
-change (route-map edit, local-pref override, ACL, origination, link or
-device churn) perturbs routing only through the edges whose *compiled,
-destination-specialised* behaviour actually differs.  Those edges are
-detected by per-edge policy-key comparison -- the specialized syntactic
-keys produced through :func:`repro.config.transfer.compile_base_edges` /
-:func:`~repro.config.transfer.specialize_compiled_edges` are canonical
-summaries of an edge's behaviour for one destination, so equal keys mean
-the transfer is unchanged on that edge even if the underlying route-map
-objects were rewritten.
+Re-simulating a perturbed network from scratch repeats almost all of the
+baseline's work: a downed link or an edited route map changes routing in
+a small cone upstream of it.  One body (:func:`_seeded_resolve`) seeds
+the worklist solver (:func:`repro.srp.solver.solve_seeded`) from the
+baseline labeling given an :class:`EdgeDiff` -- the directed edges
+removed, added or changed and the devices removed or added.  A failure
+is a diff of removed edges and nodes only
+(:func:`repro.failures.incremental.incremental_resolve`); a configuration
+change may hold all five (:func:`delta_resolve`, with changed edges found
+by per-edge specialized policy-key comparison in
+:func:`diff_network_edges`: equal keys mean an unchanged transfer even
+if the route-map objects were rewritten).
 
-The re-solve then reuses the failure machinery wholesale:
+* **taint** -- nodes whose baseline forwarding reaches a removed or
+  changed edge or a removed node (:func:`tainted_nodes`) are reset to "no
+  route": keeping their labels would invite count-to-infinity style
+  convergence to stale routes;
+* **dirty** -- the initial worklist: taint plus the surviving endpoints
+  of every removed/changed/added edge (the lost offer may have been the
+  tie-broken runner-up), nodes offering into a tainted node, neighbours
+  of removed devices, and added devices (which start with no label).
 
-* **taint** -- the reverse closure, under the baseline forwarding
-  relation, of nodes forwarding over a *removed or changed* edge
-  (:func:`repro.failures.incremental.tainted_nodes` with changed edges
-  treated as removed: a changed edge's old offer may no longer exist, so
-  labels derived through it cannot be trusted);
-* **dirty** -- taint plus the surviving endpoints of every
-  removed/changed/added edge (their offer sets shrank, changed or grew),
-  nodes offering into a tainted node, neighbours of removed devices, and
-  newly added devices (which start with no label);
-* the baseline's transfer memo seeds the new solve *minus* the entries
-  of changed and removed edges (their cached values describe the old
-  policy) -- unchanged edges reference configuration objects the
-  copy-on-write :meth:`~repro.delta.changeset.ChangeSet.apply` shares
-  with the baseline, so their memo entries remain exact.
-
-As in the failure subsystem, :func:`repro.srp.solver.solve_seeded`
-re-verifies the stability of every node before returning and the scratch
-solver remains the per-change oracle; a bad seed can never silently
-produce a wrong answer.
+The baseline's per-(edge, label) transfer memo is carried over, so the
+seeded offer tables cost dictionary hits instead of route-map
+evaluations.  The seeded solver re-verifies the stability of every node
+and raises :class:`~repro.srp.solver.ConvergenceError` otherwise; the
+body then falls back to a scratch solve (recorded on the result), and
+the sweep engine keeps the scratch solver as the per-step oracle.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, Optional, Set
+from dataclasses import dataclass, field
+from typing import Dict, FrozenSet, Optional, Set, Tuple
 
 from repro.config.network import Network
 from repro.config.prefix import Prefix
 from repro.config.transfer import syntactic_policy_keys
-from repro.failures.incremental import BaselineIndex, tainted_nodes
+from repro.obs import events as _events
+from repro.obs import metrics as _metrics
 from repro.srp.instance import SRP
 from repro.srp.solution import Solution
 from repro.srp.solver import ConvergenceError, TransferCache, solve, solve_seeded
@@ -58,13 +54,13 @@ class EdgeDiff:
     #: Directed edges present before but not after.
     removed: FrozenSet[Edge]
     #: Directed edges present after but not before.
-    added: FrozenSet[Edge]
+    added: FrozenSet[Edge] = frozenset()
     #: Directed edges present in both whose specialized policy key differs.
-    changed: FrozenSet[Edge]
+    changed: FrozenSet[Edge] = frozenset()
     #: Devices present before but not after.
-    removed_nodes: FrozenSet[str]
+    removed_nodes: FrozenSet[str] = frozenset()
     #: Devices present after but not before.
-    added_nodes: FrozenSet[str]
+    added_nodes: FrozenSet[str] = frozenset()
 
     def is_empty(self) -> bool:
         return not (
@@ -117,9 +113,146 @@ def diff_network_edges(
     )
 
 
+# ----------------------------------------------------------------------
+# Taint over the baseline forwarding relation
+# ----------------------------------------------------------------------
+@dataclass
+class BaselineIndex:
+    """The baseline-solution views every taint query needs, built once
+    per baseline so each query costs set lookups only.
+
+    Whole taint-query results are memoised too (every class of a sweep
+    replays the same step list), bounded like the solver's
+    :class:`~repro.srp.solver.TransferCache`: cleared wholesale on
+    overflow, with hit/miss/overflow counters in :meth:`cache_info`.
+    """
+
+    #: Maximum retained taint-query results (clear-on-overflow).
+    TAINT_CACHE_LIMIT = 4096
+
+    #: ``node -> its baseline forwarding edges``.
+    forwarding: dict
+    #: ``node -> upstream nodes whose forwarding points at it``.
+    forwarding_preds: dict
+    #: ``(removed edges, removed nodes) -> frozen taint set`` (bounded).
+    _taint_cache: Dict[Tuple[FrozenSet[Edge], FrozenSet[Node]], FrozenSet[Node]] = field(
+        default_factory=dict, repr=False, compare=False
+    )
+    _taint_hits: int = field(default=0, repr=False, compare=False)
+    _taint_misses: int = field(default=0, repr=False, compare=False)
+    _taint_overflows: int = field(default=0, repr=False, compare=False)
+
+    @classmethod
+    def from_solution(cls, baseline: Solution) -> "BaselineIndex":
+        forwarding: dict = {}
+        preds: dict = {}
+        destination = baseline.srp.destination
+        for node in baseline.srp.graph.nodes:
+            if node == destination:
+                continue
+            edges = tuple(baseline.forwarding_edges(node))
+            forwarding[node] = edges
+            for _, neighbour in edges:
+                preds.setdefault(neighbour, []).append(node)
+        return cls(forwarding=forwarding, forwarding_preds=preds)
+
+    def cached_taint(
+        self, removed_edges: FrozenSet[Edge], removed_nodes: FrozenSet[Node]
+    ) -> Optional[FrozenSet[Node]]:
+        """The memoised taint set for a query, or ``None`` on a miss."""
+        result = self._taint_cache.get((removed_edges, removed_nodes))
+        if result is None:
+            self._taint_misses += 1
+            _metrics.counter("failures.taint_cache.misses").inc()
+            return None
+        self._taint_hits += 1
+        _metrics.counter("failures.taint_cache.hits").inc()
+        return result
+
+    def store_taint(
+        self,
+        removed_edges: FrozenSet[Edge],
+        removed_nodes: FrozenSet[Node],
+        tainted: FrozenSet[Node],
+    ) -> None:
+        """Record a taint-query result (clear-on-overflow)."""
+        if len(self._taint_cache) >= self.TAINT_CACHE_LIMIT:
+            self._taint_cache.clear()
+            self._taint_overflows += 1
+            _metrics.counter("failures.taint_cache.overflows").inc()
+        self._taint_cache[(removed_edges, removed_nodes)] = tainted
+
+    def cache_info(self) -> Dict[str, int]:
+        """Hit/miss/size counters of the taint-query memo."""
+        return {
+            "size": len(self._taint_cache),
+            "limit": self.TAINT_CACHE_LIMIT,
+            "hits": self._taint_hits,
+            "misses": self._taint_misses,
+            "overflows": self._taint_overflows,
+        }
+
+
+def tainted_nodes(
+    baseline: Solution,
+    removed_edges: FrozenSet[Edge],
+    removed_nodes: FrozenSet[Node] = frozenset(),
+    index: Optional[BaselineIndex] = None,
+) -> Set[Node]:
+    """Nodes whose baseline forwarding could traverse a perturbed element.
+
+    Computed as a reverse BFS over the baseline forwarding relation: a
+    node is tainted if one of its forwarding edges is removed (or
+    changed), points at a removed node, or points at a tainted node.
+    Conservative (a multipath node keeps only *some* of its equally-good
+    paths through the perturbation) but safe: every label that could
+    depend on a perturbed element is reset.
+    """
+    if index is None:
+        index = BaselineIndex.from_solution(baseline)
+    else:
+        cached = index.cached_taint(removed_edges, frozenset(removed_nodes))
+        if cached is not None:
+            return set(cached)
+    seeds: Set[Node] = set()
+    for node, edges in index.forwarding.items():
+        if node in removed_nodes:
+            continue
+        for edge in edges:
+            if edge in removed_edges or edge[1] in removed_nodes:
+                seeds.add(node)
+                break
+    tainted = set(seeds)
+    frontier = list(seeds)
+    preds = index.forwarding_preds
+    while frontier:
+        current = frontier.pop()
+        for upstream in preds.get(current, ()):
+            if upstream not in tainted and upstream not in removed_nodes:
+                tainted.add(upstream)
+                frontier.append(upstream)
+    tainted.discard(baseline.srp.destination)
+    index.store_taint(removed_edges, frozenset(removed_nodes), frozenset(tainted))
+    return tainted
+
+
+def divergent_nodes(a: Solution, b: Solution) -> Tuple[Node, ...]:
+    """The nodes on which two labelings disagree (for diagnostics)."""
+    nodes = set(a.labeling) | set(b.labeling)
+    return tuple(
+        sorted(
+            (n for n in nodes if a.labeling.get(n) != b.labeling.get(n)),
+            key=str,
+        )
+    )
+
+
+# ----------------------------------------------------------------------
+# The seeded re-solve
+# ----------------------------------------------------------------------
 @dataclass
 class DeltaSolve:
-    """The outcome of one change-incremental re-solve."""
+    """The outcome of one seeded re-solve."""
 
     solution: Solution
     #: False when the seeded solve failed (``ConvergenceError``) and the
@@ -163,18 +296,32 @@ def delta_resolve(
 
     ``changed_srp`` must share its destination structure with the
     baseline SRP (same origin set, hence the same virtual-destination
-    shape); the sweep driver falls back to a scratch solve when a change
+    shape); the sweep engine falls back to a scratch solve when a change
     alters the origin set.  ``diff`` is the compiled-edge diff between the
     baseline and changed networks for this destination
     (:func:`diff_network_edges`).
     """
     start = time.perf_counter()
     transfer_cache = seed_transfer_cache(baseline, diff, transfer_cache)
-
-    tainted = tainted_nodes(
-        baseline, diff.perturbed, diff.removed_nodes, index=index
+    return _seeded_resolve(
+        changed_srp, baseline, diff, transfer_cache, index, max_rounds, "delta", start
     )
-    graph = changed_srp.graph
+
+
+def _seeded_resolve(
+    srp: SRP,
+    baseline: Solution,
+    diff: EdgeDiff,
+    transfer_cache: TransferCache,
+    index: Optional[BaselineIndex],
+    max_rounds: int,
+    solver: str,
+    start: float,
+) -> DeltaSolve:
+    """The one seeded re-solve body behind both public entry points;
+    ``solver`` names the caller on the scratch-fallback event."""
+    tainted = tainted_nodes(baseline, diff.perturbed, diff.removed_nodes, index=index)
+    graph = srp.graph
     seed_labeling = {
         node: (
             None
@@ -185,10 +332,6 @@ def delta_resolve(
     }
 
     dirty: Set[Node] = set(tainted)
-    # A removed or changed out-edge perturbs the node's offer set even off
-    # the forwarding paths (the lost/altered offer may have been the
-    # tie-broken runner-up); an added edge grows it.  Re-examine every
-    # surviving endpoint.
     for u, v in diff.removed | diff.changed | diff.added:
         if graph.has_node(u):
             dirty.add(u)
@@ -214,7 +357,7 @@ def delta_resolve(
 
     try:
         solution = solve_seeded(
-            changed_srp,
+            srp,
             seed_labeling,
             sorted(dirty, key=str),
             transfer_cache=transfer_cache,
@@ -223,17 +366,12 @@ def delta_resolve(
         used = True
     except ConvergenceError:
         # Defensive: a seed the worklist cannot repair (or a genuinely
-        # oscillating changed network).  Fall back to the scratch solver
+        # oscillating perturbed network).  Fall back to the scratch solver
         # so the caller still gets an answer -- or the scratch solver's
         # own ConvergenceError, which is then a property of the network.
-        from repro.obs import events as _events
-        from repro.obs import metrics as _metrics
-
         _metrics.counter("incremental.scratch_fallbacks").inc()
-        _events.emit("fallback.scratch", solver="delta", dirty=len(dirty))
-        solution = solve(
-            changed_srp, max_rounds=max_rounds, transfer_cache=transfer_cache
-        )
+        _events.emit("fallback.scratch", solver=solver, dirty=len(dirty))
+        solution = solve(srp, max_rounds=max_rounds, transfer_cache=transfer_cache)
         used = False
     return DeltaSolve(
         solution=solution,

@@ -32,7 +32,7 @@ silently.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 
 from repro.abstraction.bonsai import Bonsai, CompressionResult
@@ -45,6 +45,7 @@ from repro.failures.soundness import (
     VerdictMap,
     compare_verdicts,
     lifted_abstract_verdicts,
+    lifted_mismatches,
 )
 
 
@@ -76,16 +77,9 @@ class RevalidationOutcome:
     lifted: Optional[VerdictMap] = field(default=None, repr=False)
 
     def to_dict(self) -> Dict[str, object]:
-        return {
-            "reused": self.reused,
-            "reason": self.reason,
-            "recompressed": self.recompressed,
-            "agrees": self.agrees,
-            "mismatched": dict(self.mismatched),
-            "abstract_nodes": self.abstract_nodes,
-            "seconds": self.seconds,
-            "recompress_seconds": self.recompress_seconds,
-        }
+        data = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "lifted"}
+        data["mismatched"] = dict(self.mismatched)
+        return data
 
 
 # ----------------------------------------------------------------------
@@ -177,19 +171,13 @@ def revalidate_class(
         changed_network, changed_ec.prefix, changed_ec.origins, keys=changed_keys
     )
     reason = signature_matches(baseline_signature, changed_signature)
-    nodes = sorted(str(n) for n in changed_network.graph.nodes)
+    lift_args = (specs, sorted(str(n) for n in changed_network.graph.nodes), waypoints, path_bound)
 
     if not reason and baseline.abstract_network is not None:
         lifted = baseline_lifted
         if lifted is None:
             lifted = lifted_abstract_verdicts(
-                baseline.abstraction,
-                baseline.abstract_network,
-                changed_ec,
-                specs,
-                nodes,
-                waypoints,
-                path_bound,
+                baseline.abstraction, baseline.abstract_network, changed_ec, *lift_args
             )
         mismatched = compare_verdicts(concrete_verdicts, lifted)
         return RevalidationOutcome(
@@ -207,16 +195,9 @@ def revalidate_class(
     seconds = time.perf_counter() - start
     recompress_start = time.perf_counter()
     result = recompress_bonsai().compress(changed_ec, build_network=True)
-    lifted = lifted_abstract_verdicts(
-        result.abstraction,
-        result.abstract_network,
-        changed_ec,
-        specs,
-        nodes,
-        waypoints,
-        path_bound,
+    mismatched = lifted_mismatches(
+        result.abstraction, result.abstract_network, changed_ec, concrete_verdicts, *lift_args
     )
-    mismatched = compare_verdicts(concrete_verdicts, lifted)
     return RevalidationOutcome(
         reused=False,
         reason=reason,

@@ -1,52 +1,29 @@
 """What-if change sweeps: change scripts x equivalence classes.
 
-:class:`DeltaSweep` makes configuration change validation a batch
-workload like compression, verification and failure analysis before it:
-take an **ordered change script** (a list of
-:class:`~repro.delta.changeset.ChangeSet` steps, applied cumulatively),
-fan the per-class work out through the generic
-:class:`~repro.pipeline.core.ClassFanOut` engine as the ``"delta"``
-task, and aggregate a JSON :class:`DeltaReport`.
-
-Each task invocation handles *all* steps of one destination equivalence
-class, because that is where the reuse lives: the baseline is solved and
-compressed once; each step's incremental re-solve is seeded from the
+:class:`DeltaSweep` runs the what-if engine (:mod:`repro.delta.engine`) in
+its *chained-steps* mode: an **ordered change script** (a list of
+:class:`~repro.delta.changeset.ChangeSet` steps, applied cumulatively) is
+validated per class, each step's seeded re-solve starting from the
 previous step's solution through the compiled-edge diff
-(:func:`repro.delta.incremental.delta_resolve`); and the baseline
+(:func:`repro.delta.incremental.delta_resolve`).  The baseline
 abstraction is revalidated per step -- reused outright when the class's
 refinement signature is unchanged, re-compressed only when dirty
-(:func:`repro.delta.revalidate.revalidate_class`).
-
-Per (class, step) the task records:
-
-* the **incremental re-solve** outcome -- label-for-label agreement with
-  the scratch oracle (when ``oracle`` is on), taint/dirty/edge-diff
-  sizes, and both wall-clock times;
-* the **verdict delta vs. the unchanged baseline** for every suite
-  property, with one structured witness per newly broken property;
-* the **revalidation** outcome -- abstraction reused or re-compressed,
-  and the differential lifted-abstract-vs-concrete comparison either way;
-* the **rebuild arm** timings (scratch solve + fresh re-compression)
-  behind the report's headline incremental-vs-rebuild speedup.
+(:func:`repro.delta.revalidate.revalidate_class`) -- and, when it is
+reused, a *rebuild arm* (scratch solve plus fresh re-compression) is
+timed for the report's incremental-vs-rebuild speedup.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.abstraction.bonsai import Bonsai
 from repro.abstraction.ec import EquivalenceClass, routable_equivalence_classes
 from repro.analysis.batch import PropertySuite
-from repro.analysis.dataplane import ForwardingTable, forwarding_table_from_solution
-from repro.analysis.properties import (
-    PropertyContext,
-    evaluate_suite,
-    failure_witness,
-    verdict_delta,
-)
 from repro.config.network import Network
 from repro.config.transfer import (
     build_srp_from_network,
@@ -55,15 +32,22 @@ from repro.config.transfer import (
     syntactic_policy_keys,
 )
 from repro.delta.changeset import ChangeSet
-from repro.delta.incremental import delta_resolve, diff_network_edges
+from repro.delta.engine import (
+    _UNKNOWN_STEP,
+    StepMode,
+    StepView,
+    WhatIfOutcome,
+    WhatIfRecord,
+    WhatIfReport,
+    WhatIfSweep,
+    run_class_steps,
+)
+from repro.delta.incremental import BaselineIndex, delta_resolve, diff_network_edges
 from repro.delta.revalidate import class_signature, revalidate_class
-from repro.failures.incremental import BaselineIndex, divergent_nodes
-from repro.obs import trace
-from repro.reporting import ReportEnvelope, StreamingReport, register_report
 from repro.failures.soundness import lifted_abstract_verdicts
-from repro.pipeline.core import EXECUTORS, ClassFanOut, register_class_task
-from repro.pipeline.encoded import EncodedNetwork
-from repro.srp.solver import ConvergenceError, TransferCache, solve, solve_seeded
+from repro.pipeline.core import register_class_task
+from repro.reporting import register_report
+from repro.srp.solver import solve
 
 #: Format version of the JSON delta reports.
 DELTA_REPORT_VERSION = 1
@@ -73,28 +57,20 @@ DELTA_REPORT_VERSION = 1
 # Records
 # ----------------------------------------------------------------------
 @dataclass
-class ChangeOutcome:
+class ChangeOutcome(WhatIfOutcome):
     """Everything recorded for one (equivalence class, change step) pair."""
 
-    step: str
+    NAME = "step"
+    CHECK = "revalidation"
+
+    step: str = field(kw_only=True)
     changes: List[str] = field(default_factory=list)
-    #: No device originates the class prefix any more after this step.
-    unroutable: bool = False
     #: The origin set (or destination partition) changed: the SRP's
     #: destination structure no longer lines up with the previous step's,
     #: so the scratch result served the solution.
     origins_changed: bool = False
     #: The destination trie no longer has a class at exactly this prefix.
     partition_changed: bool = False
-    incremental_used: bool = False
-    #: Incremental labeling is identical to the scratch oracle's (``None``
-    #: when the oracle was skipped or incremental did not run).
-    incremental_matches_scratch: Optional[bool] = None
-    divergent: List[str] = field(default_factory=list)
-    incremental_seconds: float = 0.0
-    scratch_seconds: float = 0.0
-    tainted: int = 0
-    dirty: int = 0
     edges_removed: int = 0
     edges_added: int = 0
     edges_changed: int = 0
@@ -113,16 +89,6 @@ class ChangeOutcome:
     rebuild_compress_seconds: float = 0.0
     #: Full :class:`~repro.delta.revalidate.RevalidationOutcome` wire form.
     revalidation: Optional[Dict] = None
-    #: Per-property verdict delta vs. the unchanged baseline.
-    newly_failing: Dict[str, List[str]] = field(default_factory=dict)
-    newly_passing: Dict[str, List[str]] = field(default_factory=dict)
-    #: One structured counterexample per newly broken property.
-    witnesses: Dict[str, Dict] = field(default_factory=dict)
-
-    def abstract_agrees(self) -> Optional[bool]:
-        if self.revalidation is None:
-            return None
-        return self.revalidation.get("agrees")
 
     def canonical(self) -> Tuple:
         """Timing-free outcome, for executor-parity comparisons."""
@@ -141,35 +107,40 @@ class ChangeOutcome:
 
 
 @dataclass
-class ClassDeltaRecord:
+class ClassDeltaRecord(WhatIfRecord):
     """All change-step outcomes for one destination equivalence class."""
 
-    prefix: str
-    origins: List[str]
-    baseline_seconds: float
-    compression_seconds: float
-    baseline_failing: Dict[str, List[str]] = field(default_factory=dict)
+    OUTCOMES = "steps"
+    OUTCOME_CLS = ChangeOutcome
+
     steps: List[ChangeOutcome] = field(default_factory=list)
     #: True when the baseline labeling (and compression, if revalidating)
     #: came from a stored :class:`~repro.store.BaselineArtifact` instead
     #: of being re-solved in this run.
     baseline_from_store: bool = False
 
-    def canonical(self) -> Tuple:
-        return (
-            self.prefix,
-            tuple(self.origins),
-            tuple(sorted((k, tuple(v)) for k, v in self.baseline_failing.items())),
-            tuple(outcome.canonical() for outcome in self.steps),
-        )
-
 
 @register_report
 @dataclass
-class DeltaReport(StreamingReport, ReportEnvelope):
+class DeltaReport(WhatIfReport):
     """Run-level aggregation of a what-if change sweep."""
 
     kind = "delta"
+    RECORD_CLS = ClassDeltaRecord
+    NAMES = "step_names"
+    STEP_NOUN = "change"
+    CHECK_ON = "revalidate"
+    CHECK_PASSED = ("reused", "reused")
+    SUMMARY_SIZE = "change script: {num_steps} steps x {num_classes} classes"
+    SUMMARY_TIMING = "incremental re-verify: {inc:.3f}s vs scratch solve {scratch:.3f}s"
+    SUMMARY_SPEEDUP = " (vs full rebuild: {:.2f}x)"
+    SUMMARY_CHECK = (
+        "abstraction revalidation: {reused}/{checked} (class, step) pairs "
+        "reused the baseline abstraction"
+    )
+
+    reuse_counts = WhatIfReport.check_counts
+    first_breaking_change = WhatIfReport.first_breaking_step
 
     network_name: str
     executor: str
@@ -192,22 +163,6 @@ class DeltaReport(StreamingReport, ReportEnvelope):
     #: (``--memory-budget`` runs and the scale benchmark fill this).
     peak_rss_mb: Optional[float] = None
     version: int = DELTA_REPORT_VERSION
-
-    # ------------------------------------------------------------------
-    # Aggregates
-    # ------------------------------------------------------------------
-    def _outcomes(self):
-        for record in self.iter_records():
-            for outcome in record.steps:
-                yield record, outcome
-
-    @property
-    def incremental_seconds(self) -> float:
-        return sum(o.incremental_seconds for _, o in self._outcomes())
-
-    @property
-    def scratch_seconds(self) -> float:
-        return sum(o.scratch_seconds for _, o in self._outcomes())
 
     @property
     def incremental_speedup(self) -> Optional[float]:
@@ -233,171 +188,23 @@ class DeltaReport(StreamingReport, ReportEnvelope):
             return None
         return rebuild / inc
 
-    def incremental_all_match(self) -> bool:
-        """Every compared step re-solved bit-identically to scratch."""
-        return all(
-            o.incremental_matches_scratch is not False for _, o in self._outcomes()
-        )
-
-    def incremental_divergences(self) -> List[Tuple[str, str, List[str]]]:
-        return [
-            (record.prefix, outcome.step, list(outcome.divergent))
-            for record, outcome in self._outcomes()
-            if outcome.incremental_matches_scratch is False
-        ]
-
-    def reuse_counts(self) -> Dict[str, int]:
-        """How (class, step) pairs fared against the baseline abstraction."""
-        counts = {"checked": 0, "reused": 0, "recompressed": 0, "disagreed": 0}
-        for _, outcome in self._outcomes():
-            if outcome.reused is None:
-                continue
-            counts["checked"] += 1
-            if outcome.reused:
-                counts["reused"] += 1
-            if outcome.recompressed:
-                counts["recompressed"] += 1
-            if outcome.abstract_agrees() is False:
-                counts["disagreed"] += 1
-        return counts
-
-    def abstract_disagreements(self) -> List[Tuple[str, str, Dict]]:
-        return [
-            (record.prefix, outcome.step, dict(outcome.revalidation or {}))
-            for record, outcome in self._outcomes()
-            if outcome.abstract_agrees() is False
-        ]
-
-    def first_breaking_change(self) -> Dict[str, Optional[str]]:
-        """Per property: the first step (script order) breaking it anywhere."""
-        order = {name: index for index, name in enumerate(self.step_names)}
-        first: Dict[str, Optional[str]] = {name: None for name in self.properties}
-        for _, outcome in self._outcomes():
-            for prop, nodes in outcome.newly_failing.items():
-                if not nodes:
-                    continue
-                current = first.get(prop)
-                if current is None or order.get(outcome.step, 1 << 30) < order.get(
-                    current, 1 << 30
-                ):
-                    first[prop] = outcome.step
-        return first
-
     def first_property_broken(self) -> Optional[Tuple[str, str]]:
         """The earliest ``(property, step)`` break of the whole sweep."""
-        order = {name: index for index, name in enumerate(self.step_names)}
-        best: Optional[Tuple[str, str]] = None
-        for prop, step in self.first_breaking_change().items():
-            if step is None:
-                continue
-            if best is None or order.get(step, 1 << 30) < order.get(best[1], 1 << 30):
-                best = (prop, step)
-        return best
+        order = self._step_order()
+        breaks = [
+            (order.get(step, _UNKNOWN_STEP), index, (prop, step))
+            for index, (prop, step) in enumerate(self.first_breaking_change().items())
+            if step is not None
+        ]
+        return min(breaks)[2] if breaks else None
 
-    def property_break_counts(self) -> Dict[str, int]:
-        """Per property: how many (class, step) pairs newly break it."""
-        counts = {name: 0 for name in self.properties}
-        for _, outcome in self._outcomes():
-            for prop, nodes in outcome.newly_failing.items():
-                if nodes:
-                    counts[prop] = counts.get(prop, 0) + 1
-        return counts
-
-    def ok(self) -> bool:
-        """The sweep-level gate: no divergence, no abstract disagreement."""
-        return self.incremental_all_match() and not self.abstract_disagreements()
-
-    def canonical_records(self) -> Tuple[Tuple, ...]:
-        return tuple(
-            record.canonical()
-            for record in sorted(self.iter_records(), key=lambda r: r.prefix)
-        )
-
-    # ------------------------------------------------------------------
-    # Wire format
-    # ------------------------------------------------------------------
-    @classmethod
-    def record_from_payload(cls, payload: Dict) -> ClassDeltaRecord:
-        raw = dict(payload)
-        steps = [ChangeOutcome(**outcome) for outcome in raw.pop("steps", [])]
-        return ClassDeltaRecord(steps=steps, **raw)
-
-    def to_dict(self, include_records: bool = True) -> Dict:
-        data = asdict(self)
-        data.pop("records", None)
-        if include_records:
-            data["records"] = self.records_payload()
-        data.update(self.envelope_dict())
-        data["aggregate"] = {
-            "incremental_seconds": self.incremental_seconds,
-            "scratch_seconds": self.scratch_seconds,
-            "incremental_speedup": self.incremental_speedup,
-            "incremental_all_match": self.incremental_all_match(),
+    def aggregate_extras(self) -> Dict[str, object]:
+        return {
             "reuse": self.reuse_counts(),
             "first_breaking_change": self.first_breaking_change(),
             "first_property_broken": self.first_property_broken(),
             "property_break_counts": self.property_break_counts(),
         }
-        return data
-
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
-    @classmethod
-    def from_dict(cls, data: Dict) -> "DeltaReport":
-        payload = cls.strip_envelope(data)
-        payload.pop("aggregate", None)
-        records = [
-            cls.record_from_payload(raw) for raw in payload.pop("records", [])
-        ]
-        return cls(records=records, **payload)
-
-    @classmethod
-    def from_json(cls, text: str) -> "DeltaReport":
-        return cls.from_dict(json.loads(text))
-
-    # ------------------------------------------------------------------
-    # Display
-    # ------------------------------------------------------------------
-    def summary_lines(self) -> List[str]:
-        lines = [
-            f"network: {self.network_name}",
-            f"executor: {self.executor} (workers={self.workers})",
-            f"change script: {self.num_steps} steps x {self.num_classes} classes",
-            f"properties: {', '.join(self.properties)}",
-        ]
-        if self.oracle:
-            speedup = self.incremental_speedup
-            lines.append(
-                f"incremental re-verify: {self.incremental_seconds:.3f}s vs "
-                f"scratch solve {self.scratch_seconds:.3f}s"
-                + (
-                    f" (vs full rebuild: {speedup:.2f}x)"
-                    if speedup is not None
-                    else ""
-                )
-            )
-            lines.append(
-                "incremental labelings IDENTICAL to the scratch oracle"
-                if self.incremental_all_match()
-                else f"INCREMENTAL DIVERGED: {self.incremental_divergences()}"
-            )
-        if self.revalidate:
-            counts = self.reuse_counts()
-            lines.append(
-                f"abstraction revalidation: {counts['reused']}/{counts['checked']} "
-                f"(class, step) pairs reused the baseline abstraction, "
-                f"{counts['recompressed']} re-compressed, "
-                f"{counts['disagreed']} verdict disagreements"
-            )
-        first = self.first_breaking_change()
-        for prop in self.properties:
-            step = first.get(prop)
-            lines.append(
-                f"  {prop}: "
-                + ("survives every change" if step is None else f"first broken by {step}")
-            )
-        return lines
 
 
 # ----------------------------------------------------------------------
@@ -415,15 +222,7 @@ class _ScriptState:
     destination-independent base compilations and the route-map
     specialization memos."""
 
-    __slots__ = (
-        "key",
-        "steps",
-        "bonsais",
-        "base_compiled",
-        "ignore",
-        "spec_caches",
-        "compiled",
-    )
+    __slots__ = ("key", "steps", "bonsais", "base_compiled", "ignore", "spec_caches", "compiled")
 
     def __init__(self, key, steps):
         self.key = key
@@ -446,6 +245,12 @@ class _ScriptState:
         #: to back) shared by the SRP builds of both oracle arms and the
         #: policy-key computation.
         self.compiled: Dict[int, Tuple[object, Dict]] = {}
+
+    def bonsai_for(self, step: int, use_bdds: bool) -> Bonsai:
+        """The fresh Bonsai over one step's changed network (built lazily)."""
+        if step not in self.bonsais:
+            self.bonsais[step] = Bonsai(self.steps[step][1], use_bdds=use_bdds)
+        return self.bonsais[step]
 
     def network_for(self, step: int, baseline: Network) -> Network:
         return baseline if step == _BASELINE_STEP else self.steps[step][1]
@@ -501,18 +306,6 @@ def _script_state(bonsai: Bonsai, script: Sequence[ChangeSet]) -> _ScriptState:
     return state
 
 
-def _step_bonsai(state: _ScriptState, step: int, network: Network, use_bdds: bool):
-    """A lazy factory for the fresh Bonsai over one step's changed network."""
-
-    def factory() -> Bonsai:
-        bonsai = state.bonsais.get(step)
-        if bonsai is None:
-            bonsai = state.bonsais[step] = Bonsai(network, use_bdds=use_bdds)
-        return bonsai
-
-    return factory
-
-
 # ----------------------------------------------------------------------
 # The per-class "delta" task (runs inside pipeline workers)
 # ----------------------------------------------------------------------
@@ -534,349 +327,193 @@ def _class_on(network: Network, prefix) -> Tuple[Optional[EquivalenceClass], boo
     return max(overlapping, key=lambda c: c.prefix.length), True
 
 
-def delta_class_task(bonsai, equivalence_class: EquivalenceClass, options: dict):
-    """Run every change step against one equivalence class."""
-    suite = PropertySuite.from_options(options)
-    script = [ChangeSet.from_dict(raw) for raw in options.get("script", [])]
-    oracle = bool(options.get("oracle", True))
-    revalidate_on = bool(options.get("revalidate", True))
-    rebuild_oracle = bool(options.get("rebuild_oracle", True))
-    max_rounds = int(options.get("max_rounds", 1000))
+class _ChangeMode(StepMode):
+    """Chained steps: each step seeds from the previous step's solution,
+    so a ten-step script never re-solves from scratch."""
 
-    network: Network = bonsai.network
-    prefix = equivalence_class.prefix
-    origins = set(equivalence_class.origins)
-    specs = suite.specs()
-    nodes = sorted(network.graph.nodes, key=str)
-    node_names = [str(n) for n in nodes]
-    path_bound = (
-        suite.path_bound if suite.path_bound is not None else network.graph.num_nodes()
-    )
-    waypoints = (
-        frozenset(suite.waypoints)
-        if suite.waypoints is not None
-        else frozenset(str(origin) for origin in origins)
-    )
+    SPAN = "step"
+    CHECK_OPTION = "revalidate"
+    RECORD_CLS = ClassDeltaRecord
 
-    # -- unchanged baseline ----------------------------------------------
-    # With a stored baseline the labeling comes from the artifact: a
-    # zero-dirty seeded solve validates it against the live SRP (the
-    # no-update round plus the O(E) stability scan) without a single
-    # fixed-point iteration, and the stored transfer memo makes the offer
-    # tables pure cache hits.  A bad seed (ConvergenceError) falls back to
-    # a scratch solve instead of failing the run.
-    stored = options.get("baseline") or {}
-    class_baseline = stored.get(str(prefix))
-    baseline_start = time.perf_counter()
-    compiled = bonsai.compile_for(prefix)
-    baseline_srp = build_srp_from_network(
-        network, prefix, origins, compiled=compiled, include_syntactic_keys=False
-    )
-    baseline_solution = None
-    if class_baseline is not None:
-        try:
-            baseline_solution = solve_seeded(
-                baseline_srp,
-                class_baseline.labeling,
-                dirty=(),
-                transfer_cache=TransferCache().seeded_from(
-                    class_baseline.transfer_memo
-                ),
-                max_rounds=max_rounds,
-            )
-        except ConvergenceError:
-            class_baseline = None
-    if baseline_solution is None:
-        baseline_solution = solve(baseline_srp)
-    baseline_table = forwarding_table_from_solution(
-        network, baseline_solution, equivalence_class
-    )
-    baseline_verdicts = evaluate_suite(
-        specs, baseline_table, nodes, waypoints, path_bound
-    )
-    baseline_seconds = time.perf_counter() - baseline_start
+    def __init__(self, bonsai, equivalence_class: EquivalenceClass, options: dict):
+        super().__init__(bonsai, equivalence_class, options)
+        network, prefix = self.network, self.prefix
+        self.steps = [ChangeSet.from_dict(raw) for raw in options.get("steps", [])]
+        self.rebuild_oracle = bool(options.get("rebuild_oracle", True))
+        self.state = _script_state(bonsai, self.steps)
+        self.signature = None
+        if self.compression is not None:
+            if self.stored is not None and self.compression is self.stored.compression:
+                self.signature = self.stored.signature
+            else:
+                self.signature = class_signature(
+                    network,
+                    prefix,
+                    equivalence_class.origins,
+                    keys=self.state.policy_keys(_BASELINE_STEP, network, prefix),
+                )
+        #: Reuse-side lifted verdicts, fixed across steps by a matching
+        #: signature; computed at most once per class.
+        self.baseline_lifted = None
+        # The seed of the next step: the previous step's network, solution
+        # and policy keys (the baseline's to begin with).
+        self.prev_step = _BASELINE_STEP
+        self.prev_network = network
+        self.prev_solution = self.baseline_solution
+        self.prev_origins = frozenset(str(o) for o in equivalence_class.origins)
+        self.prev_prefix = prefix
+        self.prev_keys = None
+        self.prev_index = BaselineIndex.from_solution(self.baseline_solution)
 
-    state = _script_state(bonsai, script)
+    def record_extras(self) -> Dict[str, object]:
+        return {"baseline_from_store": self.stored is not None}
 
-    compression = None
-    baseline_signature = None
-    compression_seconds = 0.0
-    if revalidate_on:
-        if (
-            class_baseline is not None
-            and class_baseline.compression is not None
-            and class_baseline.compression.abstract_network is not None
-        ):
-            compression = class_baseline.compression
-            baseline_signature = class_baseline.signature
-        else:
-            compression = bonsai.compress(equivalence_class, build_network=True)
-            compression_seconds = compression.compression_seconds
-            baseline_signature = class_signature(
-                network,
-                prefix,
-                equivalence_class.origins,
-                keys=state.policy_keys(_BASELINE_STEP, network, prefix),
-            )
-
-    record = ClassDeltaRecord(
-        prefix=str(prefix),
-        origins=sorted(str(origin) for origin in origins),
-        baseline_seconds=baseline_seconds,
-        compression_seconds=compression_seconds,
-        baseline_failing={
-            prop: [n for n in node_names if not per_node[n]]
-            for prop, per_node in baseline_verdicts.items()
-        },
-        baseline_from_store=class_baseline is not None,
-    )
-
-    # The incremental chain: each step seeds from the previous step's
-    # solution, so a ten-step script never re-solves from scratch.
-    prev_step = _BASELINE_STEP
-    prev_network = network
-    prev_solution = baseline_solution
-    prev_origins = frozenset(str(origin) for origin in origins)
-    prev_prefix = prefix
-    prev_keys = None
-    prev_index = BaselineIndex.from_solution(baseline_solution)
-    #: Reuse-side lifted verdicts, fixed across steps by a matching
-    #: signature; computed at most once per class.
-    baseline_lifted = None
-
-    # Sub-class chunking (the shard coordinator's ``step_range`` patches):
-    # run only steps ``[range_start, range_end)``.  A chunk starting
-    # mid-script fast-forwards the incremental chain by scratch-solving
-    # the step just before it -- SRP labelings are unique fixed points,
-    # so the seeded state (and hence every chunk outcome) is identical to
-    # the chained serial run's; only timings differ.
-    range_start, range_end = 0, len(state.steps)
-    if options.get("step_range") is not None:
-        range_start, range_end = (int(bound) for bound in options["step_range"])
-        range_start = max(0, range_start)
-        range_end = min(range_end, len(state.steps))
-    if range_start > 0:
-        prev_step = range_start - 1
-        prev_network = state.steps[prev_step][1]
-        prev_ec, _ = _class_on(prev_network, prefix)
+    def fast_forward(self, start: int) -> None:
+        """Scratch-solve the step just before ``start`` as the seed: SRP
+        labelings are unique fixed points, so the seeded state (and hence
+        every chunk outcome) is identical to the chained serial run's;
+        only timings differ."""
+        self.prev_step = start - 1
+        self.prev_network = self.state.steps[self.prev_step][1]
+        prev_ec, _ = _class_on(self.prev_network, self.prefix)
         if prev_ec is None:
             # Serial left the chain unseedable after an unroutable step.
-            prev_solution = None
-            prev_keys = None
-            prev_index = None
-        else:
-            sim_prefix = prev_ec.prefix
-            sim_origins = set(prev_ec.origins)
-            forward_srp = build_srp_from_network(
-                prev_network,
-                sim_prefix,
-                sim_origins,
-                compiled=state.compiled_for(prev_step, network, sim_prefix),
-                include_syntactic_keys=False,
-            )
-            prev_solution = solve(forward_srp, max_rounds=max_rounds)
-            prev_keys = state.policy_keys(prev_step, network, sim_prefix)
-            prev_index = BaselineIndex.from_solution(prev_solution)
-            prev_prefix = sim_prefix
-            prev_origins = frozenset(str(origin) for origin in sim_origins)
+            self.prev_solution = self.prev_keys = self.prev_index = None
+            return
+        sim_prefix = prev_ec.prefix
+        forward_srp = build_srp_from_network(
+            self.prev_network,
+            sim_prefix,
+            set(prev_ec.origins),
+            compiled=self.state.compiled_for(self.prev_step, self.network, sim_prefix),
+            include_syntactic_keys=False,
+        )
+        self.prev_solution = solve(forward_srp, max_rounds=self.max_rounds)
+        self.prev_keys = self.state.policy_keys(self.prev_step, self.network, sim_prefix)
+        self.prev_index = BaselineIndex.from_solution(self.prev_solution)
+        self.prev_prefix = sim_prefix
+        self.prev_origins = frozenset(str(o) for o in prev_ec.origins)
 
-    for step_index in range(range_start, range_end):
-        changeset, changed_network = state.steps[step_index]
-        # One span per *in-range* step -- the chunk fast-forward replay
-        # above is deliberately unspanned, so a step-range chunk's trace
-        # holds exactly its own steps and the chunk-merged tree matches
-        # the chained serial run span for span.
-        with trace.span("step", name=changeset.name):
-            outcome = ChangeOutcome(
-                step=changeset.name,
-                changes=[change.describe() for change in changeset.changes],
+    def new_outcome(self, changeset: ChangeSet) -> ChangeOutcome:
+        return ChangeOutcome(
+            step=changeset.name,
+            changes=[change.describe() for change in changeset.changes],
+        )
+
+    def view(self, index: int, changeset: ChangeSet, outcome) -> StepView:
+        changed_network = self.state.steps[index][1]
+        changed_ec, outcome.partition_changed = _class_on(changed_network, self.prefix)
+        # Default waypoints follow the *changed* class's origins (the batch
+        # verifier convention: origin sets are unions of abstraction
+        # groups by construction, arbitrary sets need not be); explicit
+        # suite waypoints are kept, restricted to surviving devices.
+        if not self.explicit_waypoints and changed_ec is not None:
+            waypoints = frozenset(str(o) for o in changed_ec.origins)
+        else:
+            waypoints = frozenset(
+                w for w in self.waypoints if changed_network.graph.has_node(w)
             )
-            changed_ec, reshaped = _class_on(changed_network, prefix)
-            outcome.partition_changed = reshaped
-            # The delta universe is the *changed* network's nodes: devices a
-            # change removed drop out, devices it added are included (an
+        view = StepView(
+            network=changed_network,
+            equivalence_class=changed_ec,
+            waypoints=waypoints,
+            # The delta universe is the *changed* network's nodes: devices
+            # a change removed drop out, devices it added are included (an
             # added device failing a property is newly failing -- absent
             # baseline nodes default to passing in verdict_delta).
-            surviving = sorted(str(n) for n in changed_network.graph.nodes)
-            # Default waypoints follow the *changed* class's origins (the batch
-            # verifier convention: origin sets are unions of abstraction
-            # groups by construction, arbitrary sets need not be); explicit
-            # suite waypoints are kept, restricted to surviving devices.
-            if suite.waypoints is None and changed_ec is not None:
-                step_waypoints = frozenset(str(o) for o in changed_ec.origins)
-            else:
-                step_waypoints = frozenset(
-                    w for w in waypoints if changed_network.graph.has_node(w)
-                )
+            surviving=sorted(str(n) for n in changed_network.graph.nodes),
+        )
+        if changed_ec is not None:
+            # Both oracle arms and the policy keys share one specialized
+            # compilation per (step, class) via the script state.
+            view.compiled = self.state.compiled_for(index, self.network, changed_ec.prefix)
+            view.keys = self.state.policy_keys(index, self.network, changed_ec.prefix)
+        return view
 
-            if changed_ec is None:
-                # Nothing originates the destination any more: no control
-                # plane to solve, every property trivially fails everywhere.
-                outcome.unroutable = True
-                empty = ForwardingTable(
-                    destination=prefix,
-                    origins=set(),
-                    next_hops={node: set() for node in changed_network.graph.nodes},
-                )
-                verdicts = evaluate_suite(
-                    specs, empty, changed_network.graph.nodes, step_waypoints, path_bound
-                )
-                outcome.newly_failing, outcome.newly_passing = verdict_delta(
-                    baseline_verdicts, verdicts, surviving
-                )
-                record.steps.append(outcome)
-                prev_step = step_index
-                prev_network = changed_network
-                prev_solution = None
-                prev_keys = None
-                prev_index = None
-                continue
+    def can_seed(self, view: StepView, outcome) -> bool:
+        ec = view.equivalence_class
+        seedable = (
+            self.prev_solution is not None
+            and ec.prefix == self.prev_prefix
+            and frozenset(str(o) for o in ec.origins) == self.prev_origins
+        )
+        outcome.origins_changed = not seedable
+        return seedable
 
-            sim_prefix = changed_ec.prefix
-            sim_origins = set(changed_ec.origins)
-            sim_origin_names = frozenset(str(origin) for origin in sim_origins)
-            can_seed = (
-                prev_solution is not None
-                and sim_prefix == prev_prefix
-                and sim_origin_names == prev_origins
+    def resolve(self, view: StepView, srp, outcome):
+        sim_prefix = view.equivalence_class.prefix
+        if self.prev_keys is None:
+            self.prev_keys = self.state.policy_keys(self.prev_step, self.network, sim_prefix)
+        view.diff = diff = diff_network_edges(
+            self.prev_network,
+            view.network,
+            sim_prefix,
+            old_keys=self.prev_keys,
+            new_keys=view.keys,
+        )
+        outcome.edges_removed = len(diff.removed)
+        outcome.edges_added = len(diff.added)
+        outcome.edges_changed = len(diff.changed)
+        return delta_resolve(
+            srp, self.prev_solution, diff, index=self.prev_index, max_rounds=self.max_rounds
+        )
+
+    def check(self, index: int, view: StepView, verdicts, outcome) -> None:
+        changed_ec = view.equivalence_class
+        factory = functools.partial(self.state.bonsai_for, index, self.bonsai.use_bdds)
+        reval = revalidate_class(
+            self.compression,
+            self.signature,
+            view.network,
+            changed_ec,
+            verdicts,
+            self.specs,
+            view.waypoints,
+            self.path_bound,
+            recompress_bonsai=factory,
+            changed_keys=view.keys,
+            baseline_lifted=self.baseline_lifted,
+        )
+        if reval.reused and self.baseline_lifted is None:
+            self.baseline_lifted = reval.lifted
+        outcome.reused = reval.reused
+        outcome.recompressed = reval.recompressed
+        outcome.revalidate_seconds = reval.seconds
+        outcome.recompress_seconds = reval.recompress_seconds
+        outcome.revalidation = reval.to_dict()
+        if reval.recompressed:
+            outcome.rebuild_compress_seconds = reval.recompress_seconds
+        elif self.rebuild_oracle:
+            # The abstraction was reused, so the incremental arm paid no
+            # compression.  Time what a full rebuild would have paid for
+            # the same answer -- a fresh per-class compression of the
+            # changed network plus the abstract re-verification on it
+            # (mirroring what the dirty path's ``recompress_seconds``
+            # measures) -- for the report's speedup denominator.
+            rebuild_start = time.perf_counter()
+            rebuilt = factory().compress(changed_ec, build_network=True)
+            lifted_abstract_verdicts(
+                rebuilt.abstraction, rebuilt.abstract_network, changed_ec,
+                self.specs, view.surviving, view.waypoints, self.path_bound,
             )
-            outcome.origins_changed = not can_seed
+            outcome.rebuild_compress_seconds = time.perf_counter() - rebuild_start
 
-            def build_changed_srp():
-                # Both oracle arms (and the policy-key computation) share one
-                # specialized compilation per (step, class) via the script
-                # state; compiling is destination-work a real rebuild pays
-                # once, not per arm.
-                return build_srp_from_network(
-                    changed_network,
-                    sim_prefix,
-                    set(sim_origins),
-                    compiled=state.compiled_for(step_index, network, sim_prefix),
-                    include_syntactic_keys=False,
-                )
+    def advance(self, index: int, view: StepView, solution) -> None:
+        self.prev_step = index
+        self.prev_network = view.network
+        self.prev_solution = solution
+        if solution is None:
+            self.prev_keys = self.prev_index = None
+            return
+        self.prev_origins = frozenset(str(o) for o in view.equivalence_class.origins)
+        self.prev_prefix = view.equivalence_class.prefix
+        self.prev_keys = view.keys
+        self.prev_index = BaselineIndex.from_solution(solution)
 
-            scratch_solution = None
-            if oracle or not can_seed:
-                scratch_srp = build_changed_srp()
-                scratch_start = time.perf_counter()
-                scratch_solution = solve(scratch_srp, max_rounds=max_rounds)
-                outcome.scratch_seconds = time.perf_counter() - scratch_start
 
-            new_keys = state.policy_keys(step_index, network, sim_prefix)
-            if not can_seed:
-                solution = scratch_solution
-            else:
-                if prev_keys is None:
-                    prev_keys = state.policy_keys(prev_step, network, sim_prefix)
-                diff = diff_network_edges(
-                    prev_network,
-                    changed_network,
-                    sim_prefix,
-                    old_keys=prev_keys,
-                    new_keys=new_keys,
-                )
-                outcome.edges_removed = len(diff.removed)
-                outcome.edges_added = len(diff.added)
-                outcome.edges_changed = len(diff.changed)
-                result = delta_resolve(
-                    build_changed_srp(),
-                    prev_solution,
-                    diff,
-                    index=prev_index,
-                    max_rounds=max_rounds,
-                )
-                solution = result.solution
-                outcome.incremental_used = result.incremental_used
-                outcome.incremental_seconds = result.seconds
-                outcome.tainted = len(result.tainted)
-                outcome.dirty = result.dirty_count
-                if scratch_solution is not None:
-                    matches = solution.labeling == scratch_solution.labeling
-                    outcome.incremental_matches_scratch = matches
-                    if not matches:
-                        outcome.divergent = [
-                            str(n) for n in divergent_nodes(solution, scratch_solution)
-                        ]
-
-            table = forwarding_table_from_solution(changed_network, solution, changed_ec)
-            verdicts = evaluate_suite(
-                specs, table, changed_network.graph.nodes, step_waypoints, path_bound
-            )
-            outcome.newly_failing, outcome.newly_passing = verdict_delta(
-                baseline_verdicts, verdicts, surviving
-            )
-            if outcome.newly_failing:
-                context = PropertyContext(
-                    table=table, waypoints=step_waypoints, path_bound=path_bound
-                )
-                for spec in specs:
-                    broken = outcome.newly_failing.get(spec.name)
-                    if broken:
-                        witness = failure_witness(spec, context, broken[0])
-                        if witness is not None:
-                            outcome.witnesses[spec.name] = witness
-
-            if revalidate_on and compression is not None:
-                factory = _step_bonsai(
-                    state, step_index, changed_network, bonsai.use_bdds
-                )
-                reval = revalidate_class(
-                    compression,
-                    baseline_signature,
-                    changed_network,
-                    changed_ec,
-                    verdicts,
-                    specs,
-                    step_waypoints,
-                    path_bound,
-                    recompress_bonsai=factory,
-                    changed_keys=new_keys,
-                    baseline_lifted=baseline_lifted,
-                )
-                if reval.reused and baseline_lifted is None:
-                    baseline_lifted = reval.lifted
-                outcome.reused = reval.reused
-                outcome.recompressed = reval.recompressed
-                outcome.revalidate_seconds = reval.seconds
-                outcome.recompress_seconds = reval.recompress_seconds
-                outcome.revalidation = reval.to_dict()
-                if reval.recompressed:
-                    outcome.rebuild_compress_seconds = reval.recompress_seconds
-                elif rebuild_oracle:
-                    # The abstraction was reused, so the incremental arm paid
-                    # no compression.  Time what a full rebuild would have
-                    # paid for the same answer -- a fresh per-class
-                    # compression of the changed network plus the abstract
-                    # re-verification on it (mirroring what the dirty path's
-                    # ``recompress_seconds`` measures) -- for the report's
-                    # speedup denominator.
-                    rebuild_start = time.perf_counter()
-                    rebuilt = factory().compress(changed_ec, build_network=True)
-                    lifted_abstract_verdicts(
-                        rebuilt.abstraction,
-                        rebuilt.abstract_network,
-                        changed_ec,
-                        specs,
-                        surviving,
-                        step_waypoints,
-                        path_bound,
-                    )
-                    outcome.rebuild_compress_seconds = (
-                        time.perf_counter() - rebuild_start
-                    )
-
-            record.steps.append(outcome)
-            prev_step = step_index
-            prev_network = changed_network
-            prev_solution = solution
-            prev_origins = sim_origin_names
-            prev_prefix = sim_prefix
-            prev_keys = new_keys
-            prev_index = (
-                BaselineIndex.from_solution(solution) if solution is not None else None
-            )
-
-    return record
+def delta_class_task(bonsai, equivalence_class: EquivalenceClass, options: dict):
+    """Run every change step against one equivalence class."""
+    return run_class_steps(bonsai, equivalence_class, options, _ChangeMode)
 
 
 register_class_task("delta", "repro.delta.sweep:delta_class_task")
@@ -885,25 +522,18 @@ register_class_task("delta", "repro.delta.sweep:delta_class_task")
 # ----------------------------------------------------------------------
 # The sweep driver
 # ----------------------------------------------------------------------
-class DeltaSweep:
+class DeltaSweep(WhatIfSweep):
     """Run a change script over every destination equivalence class.
 
-    Parameters mirror :class:`~repro.pipeline.core.ClassFanOut`
-    (``executor`` / ``workers`` / ``batch_size`` / ``limit`` /
-    ``use_bdds`` / ``artifact``), plus:
+    Parameters are those of :class:`~repro.delta.engine.WhatIfSweep`
+    (the fan-out knobs, ``baseline``, ``suite``, ``oracle``, spilling),
+    plus:
 
     script:
         The ordered change script: a sequence of
         :class:`~repro.delta.changeset.ChangeSet` steps applied
         cumulatively.  Every step is validated against the network state
         the previous steps produce before any work is dispatched.
-    suite:
-        The :class:`~repro.analysis.batch.PropertySuite` to evaluate
-        (default: the full registered catalogue).
-    oracle:
-        Also scratch-solve every step and compare labelings (default
-        True -- the incremental solver's soundness gate and the source of
-        the reported speedup).
     revalidate:
         Run the per-step abstraction revalidator (default True).
     rebuild_oracle:
@@ -913,128 +543,42 @@ class DeltaSweep:
         possible smoke runs).
     """
 
+    TASK = "delta"
+    REPORT_CLS = DeltaReport
+
     def __init__(
         self,
         network: Optional[Network] = None,
         *,
-        artifact: Optional[EncodedNetwork] = None,
-        baseline=None,
         script: Sequence[ChangeSet] = (),
-        suite: Optional[PropertySuite] = None,
-        oracle: bool = True,
         revalidate: bool = True,
         rebuild_oracle: bool = True,
-        executor: str = "serial",
-        workers: int = 4,
-        batch_size: Optional[int] = None,
-        limit: Optional[int] = None,
-        use_bdds: bool = True,
-        scheduler: str = "stealing",
-        cost_store=None,
-        unit_costs: Optional[Dict[str, float]] = None,
-        spill: bool = False,
-        spill_path: Optional[str] = None,
+        **kwargs,
     ):
-        if executor not in EXECUTORS:
-            raise ValueError(
-                f"unknown executor {executor!r}; expected one of {EXECUTORS}"
-            )
-        if baseline is not None:
-            # A stored BaselineArtifact supplies both the one-time encoding
-            # (skipping the re-encode) and the per-class labelings /
-            # compressions (skipping every baseline re-solve).  A network
-            # passed alongside must be the artifact's own network by
-            # content, or the stored labelings would be silently wrong.
-            if artifact is None:
-                artifact = baseline.encoded
-            if network is not None and network is not baseline.network:
-                if not baseline.matches(network):
-                    raise ValueError(
-                        "stored baseline artifact does not match the network "
-                        "(content fingerprints differ); rebuild the artifact"
-                    )
-        self.baseline = baseline
-        if network is None and artifact is None:
-            raise ValueError("either a network or an EncodedNetwork is required")
-        self.network = artifact.network if artifact is not None else network
+        super().__init__(network, **kwargs)
         self.script: List[ChangeSet] = list(script)
         if not self.script:
             raise ValueError("a delta sweep needs at least one change step")
         current = self.network
         for changeset in self.script:
             current = changeset.apply(current)  # raises ChangeError when invalid
-        self.suite = suite or PropertySuite.default()
-        self.oracle = oracle
+        self.steps = self.script
         self.revalidate = revalidate
         self.rebuild_oracle = rebuild_oracle
-        self.executor = executor
-        self.workers = workers
-        self.spill = spill
-        self.spill_path = spill_path
-        self._fanout_kwargs = dict(
-            artifact=artifact,
-            executor=executor,
-            workers=workers,
-            batch_size=batch_size,
-            limit=limit,
-            use_bdds=use_bdds,
-            scheduler=scheduler,
-            cost_store=cost_store,
-            unit_costs=unit_costs,
-        )
 
-    def run(self) -> DeltaReport:
-        from repro import obs
+    def _task_options(self) -> Dict[str, object]:
+        return {"revalidate": self.revalidate, "rebuild_oracle": self.rebuild_oracle}
 
-        counters_before = obs.snapshot_run()
-        start = time.perf_counter()
-        options = self.suite.to_options()
-        options["script"] = [changeset.to_dict() for changeset in self.script]
-        options["oracle"] = self.oracle
-        options["revalidate"] = self.revalidate
-        options["rebuild_oracle"] = self.rebuild_oracle
-        if self.baseline is not None:
-            options["baseline"] = self.baseline.baselines
-        fanout = ClassFanOut(
-            self.network,
-            task="delta",
-            task_options=options,
-            **self._fanout_kwargs,
-        )
-        artifact, classes = fanout.prepare()
-        report = DeltaReport(
-            network_name=fanout.network.name,
-            executor=self.executor,
-            workers=1 if self.executor == "serial" else self.workers,
-            num_classes=len(classes),
-            num_steps=len(self.script),
-            properties=list(self.suite.names),
-            path_bound=self.suite.path_bound,
-            oracle=self.oracle,
-            revalidate=self.revalidate,
-            rebuild_oracle=self.rebuild_oracle,
-            encode_seconds=artifact.encode_seconds,
-            total_seconds=0.0,
-            step_names=[changeset.name for changeset in self.script],
-            baseline_fingerprint=(
+    def _report_fields(self) -> Dict[str, object]:
+        return {
+            "num_steps": len(self.script),
+            "revalidate": self.revalidate,
+            "rebuild_oracle": self.rebuild_oracle,
+            "step_names": [changeset.name for changeset in self.script],
+            "baseline_fingerprint": (
                 self.baseline.fingerprint if self.baseline is not None else None
             ),
-        )
-        if self.spill:
-            from repro.pipeline.stream import RecordSpill
-
-            report.attach_spill(RecordSpill(self.spill_path))
-
-        # Records merge into the report as they stream off the pool (in
-        # class order at merge time, whatever order the scheduler
-        # completed them in) instead of collecting the whole sweep first.
-        def on_result(index: int, record: ClassDeltaRecord, seconds: float) -> None:
-            report.merge_partial(index, record)
-
-        fanout.execute(on_result=on_result, collect=False)
-        report.total_seconds = time.perf_counter() - start
-        obs.finish_run(report, counters_before)
-        return report
+        }
 
 
 def sweep_changes(

@@ -1,18 +1,15 @@
 """Failure-scenario analysis: k-failure sweeps over compressed networks.
 
-The fourth pillar of the system next to compression, verification and the
-hot-path engine: model link/node failures as first-class scenarios,
-re-solve the failed control plane *incrementally* from the failure-free
-baseline, and check -- per scenario -- whether Bonsai's abstraction is
-still sound once the topology loses edges (the paper's stated
-limitation).
+Failure sweeps are the *independent-steps* mode of the what-if engine
+(:mod:`repro.delta.engine`): link/node failures are first-class scenarios,
+each failed control plane is re-solved *incrementally* from the
+failure-free baseline, and each scenario checks whether Bonsai's
+abstraction is still sound once the topology loses edges (the paper's
+stated limitation).  This package holds what is particular to failures:
+scenarios, their re-solve entry point, the soundness checker and report.
 """
 
-from repro.failures.incremental import (
-    IncrementalSolve,
-    incremental_resolve,
-    tainted_nodes,
-)
+from repro.failures.incremental import incremental_resolve, tainted_nodes
 from repro.failures.scenario import (
     FailureScenario,
     ScenarioError,
@@ -50,7 +47,6 @@ __all__ = [
     "node_scenario",
     "points_of_interest",
     "undirected_links",
-    "IncrementalSolve",
     "incremental_resolve",
     "tainted_nodes",
     "SoundnessOutcome",

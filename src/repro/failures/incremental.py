@@ -1,197 +1,37 @@
 """Incremental re-solve of an SRP under a failure scenario.
 
-Re-simulating a failed network from scratch repeats almost all of the
-baseline's work: a single downed link typically perturbs routing in a
-small cone upstream of the failure.  This module seeds the worklist
-solver (:func:`repro.srp.solver.solve_seeded`) from the baseline
-labeling and only dirties what the failure can actually touch:
+A failure is the simplest perturbation the seeded re-solve of
+:mod:`repro.delta.incremental` handles: its :class:`~repro.delta.incremental.EdgeDiff`
+holds only the scenario's removed directed edges and removed nodes --
+nothing is added and no surviving edge changes its transfer, because a
+failure view shares every :class:`~repro.config.device.DeviceConfig` with
+the baseline.  :func:`incremental_resolve` is that entry point; the taint,
+dirty-set and scratch-fallback logic are the shared body's.
 
-1. **Taint** -- nodes whose baseline forwarding could traverse a failed
-   element.  Their labels may describe routes that no longer exist, so
-   they are reset to "no route" before solving; keeping them would invite
-   count-to-infinity style convergence to stale routes (the classic
-   distance-vector pathology).  Taint is the reverse closure of the failed
-   edges/nodes under the baseline forwarding relation.
-2. **Dirty** -- the initial worklist: tainted nodes, nodes that lost an
-   out-edge (their offer sets shrank), and nodes with an edge into a
-   tainted node (their offers were computed from a now-reset label).
-
-Everything else keeps its baseline label and is only re-examined if a
-neighbour's label changes -- the worklist takes care of propagation.  The
-baseline's per-(edge, label) transfer memo is carried over, so building
-the seeded offer tables costs dictionary hits instead of route-map
-evaluations; that is where the measured speedup over a scratch solve
-comes from.
-
-The seeded solver re-verifies stability of *every* node before returning
-and raises :class:`~repro.srp.solver.ConvergenceError` otherwise, so a
-bad seed can never silently produce a wrong answer;
-:func:`incremental_resolve` additionally falls back to a scratch solve on
-any convergence failure (recorded on the result).  The sweep driver keeps
-the scratch solver as an *oracle* and checks label-for-label equality on
-every scenario.
+Unlike a change re-solve, the transfer memo is *not* purged of the removed
+edges: a failed edge is never asked for again, so one memo seeded from the
+baseline can be shared by every scenario of a class.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Optional, Set, Tuple
+from typing import FrozenSet, Optional
 
-from repro.obs import events as _events
-from repro.obs import metrics as _metrics
+from repro.delta.incremental import (
+    BaselineIndex,
+    DeltaSolve,
+    EdgeDiff,
+    _seeded_resolve,
+    divergent_nodes,
+    tainted_nodes,
+)
 from repro.srp.instance import SRP
 from repro.srp.solution import Solution
-from repro.srp.solver import ConvergenceError, TransferCache, solve, solve_seeded
+from repro.srp.solver import TransferCache
 from repro.topology.graph import Edge, Node
 
-
-@dataclass
-class IncrementalSolve:
-    """The outcome of one incremental re-solve."""
-
-    solution: Solution
-    #: False when the seeded solve failed (``ConvergenceError``) and the
-    #: result came from the scratch fallback instead.
-    incremental_used: bool
-    #: Nodes whose baseline labels were reset before solving.
-    tainted: FrozenSet[Node]
-    #: Size of the initial worklist handed to the seeded solver.
-    dirty_count: int
-    seconds: float
-
-
-@dataclass
-class BaselineIndex:
-    """The baseline-solution views every scenario's taint query needs.
-
-    Extracting forwarding edges from a :class:`Solution` costs preference
-    comparisons per edge; a sweep re-solving hundreds of scenarios against
-    one baseline builds this index once and answers each taint query with
-    set lookups only.
-
-    The index also memoises whole taint-query *results*: failure sweeps
-    and change sweeps ask about the same ``(removed, changed)`` element
-    sets repeatedly (every class of a sweep replays the same scenario
-    list).  The memo is bounded like the solver's
-    :class:`~repro.srp.solver.TransferCache` -- cleared wholesale on
-    overflow, hit/miss/overflow counters exposed via :meth:`cache_info` --
-    so one long-lived index can serve thousands of queries without
-    unbounded growth.
-    """
-
-    #: Maximum retained taint-query results (clear-on-overflow).
-    TAINT_CACHE_LIMIT = 4096
-
-    #: ``node -> its baseline forwarding edges``.
-    forwarding: dict
-    #: ``node -> upstream nodes whose forwarding points at it``.
-    forwarding_preds: dict
-    #: ``(removed edges, removed nodes) -> frozen taint set`` (bounded).
-    _taint_cache: Dict[Tuple[FrozenSet[Edge], FrozenSet[Node]], FrozenSet[Node]] = field(
-        default_factory=dict, repr=False, compare=False
-    )
-    _taint_hits: int = field(default=0, repr=False, compare=False)
-    _taint_misses: int = field(default=0, repr=False, compare=False)
-    _taint_overflows: int = field(default=0, repr=False, compare=False)
-
-    @classmethod
-    def from_solution(cls, baseline: Solution) -> "BaselineIndex":
-        forwarding: dict = {}
-        preds: dict = {}
-        destination = baseline.srp.destination
-        for node in baseline.srp.graph.nodes:
-            if node == destination:
-                continue
-            edges = tuple(baseline.forwarding_edges(node))
-            forwarding[node] = edges
-            for _, neighbour in edges:
-                preds.setdefault(neighbour, []).append(node)
-        return cls(forwarding=forwarding, forwarding_preds=preds)
-
-    def cached_taint(
-        self, removed_edges: FrozenSet[Edge], removed_nodes: FrozenSet[Node]
-    ) -> Optional[FrozenSet[Node]]:
-        """The memoised taint set for a query, or ``None`` on a miss."""
-        try:
-            result = self._taint_cache.get((removed_edges, removed_nodes))
-        except TypeError:  # unhashable custom node types: skip the memo
-            return None
-        if result is None:
-            self._taint_misses += 1
-            _metrics.counter("failures.taint_cache.misses").inc()
-            return None
-        self._taint_hits += 1
-        _metrics.counter("failures.taint_cache.hits").inc()
-        return result
-
-    def store_taint(
-        self,
-        removed_edges: FrozenSet[Edge],
-        removed_nodes: FrozenSet[Node],
-        tainted: FrozenSet[Node],
-    ) -> None:
-        """Record a taint-query result (clear-on-overflow, best effort)."""
-        if len(self._taint_cache) >= self.TAINT_CACHE_LIMIT:
-            self._taint_cache.clear()
-            self._taint_overflows += 1
-            _metrics.counter("failures.taint_cache.overflows").inc()
-        try:
-            self._taint_cache[(removed_edges, removed_nodes)] = tainted
-        except TypeError:
-            pass
-
-    def cache_info(self) -> Dict[str, int]:
-        """Hit/miss/size counters of the taint-query memo."""
-        return {
-            "size": len(self._taint_cache),
-            "limit": self.TAINT_CACHE_LIMIT,
-            "hits": self._taint_hits,
-            "misses": self._taint_misses,
-            "overflows": self._taint_overflows,
-        }
-
-
-def tainted_nodes(
-    baseline: Solution,
-    removed_edges: FrozenSet[Edge],
-    removed_nodes: FrozenSet[Node] = frozenset(),
-    index: Optional[BaselineIndex] = None,
-) -> Set[Node]:
-    """Nodes whose baseline forwarding could traverse a failed element.
-
-    Computed as a reverse BFS over the baseline forwarding relation: a
-    node is tainted if one of its forwarding edges is removed, points at a
-    removed node, or points at a tainted node.  Conservative (a multipath
-    node keeps only *some* of its equally-good paths through the failure)
-    but safe: every label that could depend on a failed element is reset.
-    """
-    if index is None:
-        index = BaselineIndex.from_solution(baseline)
-    else:
-        cached = index.cached_taint(removed_edges, frozenset(removed_nodes))
-        if cached is not None:
-            return set(cached)
-    seeds: Set[Node] = set()
-    for node, edges in index.forwarding.items():
-        if node in removed_nodes:
-            continue
-        for edge in edges:
-            if edge in removed_edges or edge[1] in removed_nodes:
-                seeds.add(node)
-                break
-    tainted = set(seeds)
-    frontier = list(seeds)
-    preds = index.forwarding_preds
-    while frontier:
-        current = frontier.pop()
-        for upstream in preds.get(current, ()):
-            if upstream not in tainted and upstream not in removed_nodes:
-                tainted.add(upstream)
-                frontier.append(upstream)
-    tainted.discard(baseline.srp.destination)
-    index.store_taint(removed_edges, frozenset(removed_nodes), frozenset(tainted))
-    return tainted
+__all__ = ["BaselineIndex", "divergent_nodes", "incremental_resolve", "tainted_nodes"]
 
 
 def incremental_resolve(
@@ -202,94 +42,19 @@ def incremental_resolve(
     transfer_cache: Optional[TransferCache] = None,
     index: Optional[BaselineIndex] = None,
     max_rounds: int = 1000,
-) -> IncrementalSolve:
+) -> DeltaSolve:
     """Solve ``failed_srp`` seeded from the baseline solution.
 
     ``failed_srp`` must share its node universe with the baseline SRP
-    minus ``removed_nodes`` (the scenario appliers in
-    :mod:`repro.failures` guarantee this, including the virtual
-    destination when the origin set is unchanged).  ``removed_edges`` are
-    the *directed* edges deleted by the scenario.
-
-    The baseline's transfer memo is copied into a fresh
-    :class:`TransferCache` unless one is supplied (supplying one lets a
-    sweep share a single bounded memo across thousands of scenarios);
-    likewise an ``index`` built once via
-    :meth:`BaselineIndex.from_solution` saves re-walking the baseline
-    forwarding relation per scenario.
+    minus ``removed_nodes`` (including the virtual destination: the origin
+    set is unchanged); ``removed_edges`` are the scenario's *directed*
+    edges.  Supplying ``transfer_cache`` (else a copy of the baseline's
+    memo) and ``index`` lets a sweep share both across its scenarios.
     """
     start = time.perf_counter()
     if transfer_cache is None:
         transfer_cache = TransferCache().seeded_from(baseline.transfer_cache)
-
-    tainted = tainted_nodes(baseline, removed_edges, removed_nodes, index=index)
-    graph = failed_srp.graph
-    seed_labeling = {
-        node: (None if node in tainted else baseline.labeling.get(node))
-        for node in graph.nodes
-    }
-
-    dirty: Set[Node] = set(tainted)
-    # Losing an out-edge shrinks a node's offer set even off the
-    # forwarding paths (the lost offer may have been the tie-broken
-    # runner-up); re-examine both endpoints that survive.
-    for u, v in removed_edges:
-        if graph.has_node(u):
-            dirty.add(u)
-        if graph.has_node(v):
-            dirty.add(v)
-    # Offers into a tainted (reset) node were computed from its old label.
-    for node in tainted:
-        if graph.has_node(node):
-            for upstream, _ in graph.in_edges(node):
-                dirty.add(upstream)
-    # Neighbours of removed nodes lost an offer each.
-    for node in removed_nodes:
-        for upstream in baseline.srp.graph.predecessors(node):
-            if graph.has_node(upstream):
-                dirty.add(upstream)
-
-    try:
-        solution = solve_seeded(
-            failed_srp,
-            seed_labeling,
-            sorted(dirty, key=str),
-            transfer_cache=transfer_cache,
-            max_rounds=max_rounds,
-        )
-        used = True
-    except ConvergenceError:
-        # Defensive: a seed the worklist cannot repair (or a genuinely
-        # oscillating failed network).  Fall back to the scratch solver so
-        # the caller still gets an answer -- or the scratch solver's own
-        # ConvergenceError, which is then a property of the network, not
-        # of the seeding.
-        _metrics.counter("incremental.scratch_fallbacks").inc()
-        _events.emit(
-            "fallback.scratch", solver="failures", dirty=len(dirty)
-        )
-        solution = solve(failed_srp, max_rounds=max_rounds, transfer_cache=transfer_cache)
-        used = False
-    return IncrementalSolve(
-        solution=solution,
-        incremental_used=used,
-        tainted=frozenset(tainted),
-        dirty_count=len(dirty),
-        seconds=time.perf_counter() - start,
-    )
-
-
-def labelings_match(a: Solution, b: Solution) -> bool:
-    """Label-for-label equality of two solutions over their shared nodes."""
-    return a.labeling == b.labeling
-
-
-def divergent_nodes(a: Solution, b: Solution) -> Tuple[Node, ...]:
-    """The nodes on which two labelings disagree (for diagnostics)."""
-    nodes = set(a.labeling) | set(b.labeling)
-    return tuple(
-        sorted(
-            (n for n in nodes if a.labeling.get(n) != b.labeling.get(n)),
-            key=str,
-        )
+    diff = EdgeDiff(removed=removed_edges, removed_nodes=frozenset(removed_nodes))
+    return _seeded_resolve(
+        failed_srp, baseline, diff, transfer_cache, index, max_rounds, "failures", start
     )

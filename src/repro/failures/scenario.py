@@ -24,6 +24,7 @@ disappear.  This module supplies the scenario vocabulary the rest of
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
@@ -84,9 +85,6 @@ class FailureScenario:
         """The number of failed elements (links plus nodes)."""
         return len(self.links) + len(self.nodes)
 
-    def is_empty(self) -> bool:
-        return not self.links and not self.nodes
-
     # ------------------------------------------------------------------
     # Wire form (travels inside pickled/JSON task options)
     # ------------------------------------------------------------------
@@ -145,16 +143,7 @@ class FailureScenario:
                 removed.add(edge)
         return frozenset(removed)
 
-    def apply_loose(self, network: Network) -> Network:
-        """Like :meth:`apply` but ignoring elements absent from the topology.
-
-        Used when a scenario mapped through an abstraction is replayed on
-        the abstract network: the mapping may name copy-pair edges the
-        emitted network does not materialise.
-        """
-        return self._apply(network, strict=False)
-
-    def apply(self, network: Network) -> Network:
+    def apply(self, network: Network, strict: bool = True) -> Network:
         """The failed network: a subgraph view sharing device configs.
 
         The returned :class:`Network` is a *new* object with a fresh graph
@@ -168,10 +157,11 @@ class FailureScenario:
         Note that ``validate()`` on the view may report BGP/OSPF sessions
         pointing at now-unreachable neighbours; that is the expected state
         of a network with down links, not a configuration error.
-        """
-        return self._apply(network, strict=True)
 
-    def _apply(self, network: Network, strict: bool) -> Network:
+        ``strict=False`` ignores elements absent from the topology: a
+        scenario mapped through an abstraction and replayed on the abstract
+        network may name copy-pair edges it does not materialise.
+        """
         if strict:
             self.assert_valid(network)
         removed = self.directed_edges(network.graph)
@@ -220,23 +210,28 @@ def enumerate_link_failures(
     """
     if k < 1:
         raise ScenarioError("k must be >= 1")
-    links = undirected_links(network)
-    nodes = sorted(str(n) for n in network.graph.nodes) if include_nodes else []
-    elements: List[Tuple[str, object]] = [("link", link) for link in links]
-    elements.extend(("node", node) for node in nodes)
+    elements = _failable_elements(network, include_nodes)
     scenarios: List[FailureScenario] = []
     for size in range(1, k + 1):
-        sized: List[FailureScenario] = []
-        for combo in itertools.combinations(elements, size):
-            sized.append(
-                FailureScenario(
-                    links=frozenset(v for kind, v in combo if kind == "link"),
-                    nodes=frozenset(v for kind, v in combo if kind == "node"),
-                )
-            )
+        sized = [_scenario_of(combo) for combo in itertools.combinations(elements, size)]
         sized.sort(key=lambda s: s.name)
         scenarios.extend(sized)
     return scenarios
+
+
+def _failable_elements(network: Network, include_nodes: bool) -> List[Tuple[str, object]]:
+    """``("link", link)`` for every link, then ``("node", name)`` if asked."""
+    elements: List[Tuple[str, object]] = [("link", link) for link in undirected_links(network)]
+    if include_nodes:
+        elements.extend(("node", n) for n in sorted(str(n) for n in network.graph.nodes))
+    return elements
+
+
+def _scenario_of(elements) -> FailureScenario:
+    return FailureScenario(
+        links=frozenset(v for kind, v in elements if kind == "link"),
+        nodes=frozenset(v for kind, v in elements if kind == "node"),
+    )
 
 
 def sample_link_failures(
@@ -255,13 +250,10 @@ def sample_link_failures(
     """
     if count < 1:
         raise ScenarioError("sample count must be >= 1")
-    links = undirected_links(network)
-    nodes = sorted(str(n) for n in network.graph.nodes) if include_nodes else []
-    elements: List[Tuple[str, object]] = [("link", link) for link in links]
-    elements.extend(("node", node) for node in nodes)
+    elements = _failable_elements(network, include_nodes)
     total = 0
     for size in range(1, k + 1):
-        total += _combinations_count(len(elements), size)
+        total += math.comb(len(elements), size)
         if total > count * 4:
             break
     if total <= count:
@@ -281,24 +273,9 @@ def sample_link_failures(
         if combo in seen:
             continue
         seen.add(combo)
-        picked = [elements[i] for i in combo]
-        chosen.append(
-            FailureScenario(
-                links=frozenset(v for kind, v in picked if kind == "link"),
-                nodes=frozenset(v for kind, v in picked if kind == "node"),
-            )
-        )
+        chosen.append(_scenario_of([elements[i] for i in combo]))
     chosen.sort(key=lambda s: (s.size, s.name))
     return chosen
-
-
-def _combinations_count(n: int, r: int) -> int:
-    if r > n:
-        return 0
-    result = 1
-    for i in range(r):
-        result = result * (n - i) // (i + 1)
-    return result
 
 
 # ----------------------------------------------------------------------

@@ -34,7 +34,7 @@ rather than pass silently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.abstraction.bonsai import Bonsai, CompressionResult
@@ -72,19 +72,11 @@ class SoundnessOutcome:
     abstract_nodes: int = 0
 
     def to_dict(self) -> Dict[str, object]:
-        return {
-            "sound_under_failure": self.sound_under_failure,
-            "reason": self.reason,
-            "abstract_scenario": (
-                None
-                if self.abstract_scenario is None
-                else self.abstract_scenario.to_dict()
-            ),
-            "recompressed": self.recompressed,
-            "agrees": self.agrees,
-            "mismatched": dict(self.mismatched),
-            "abstract_nodes": self.abstract_nodes,
-        }
+        data = {f.name: getattr(self, f.name) for f in fields(self)}
+        if self.abstract_scenario is not None:
+            data["abstract_scenario"] = self.abstract_scenario.to_dict()
+        data["mismatched"] = dict(self.mismatched)
+        return data
 
 
 # ----------------------------------------------------------------------
@@ -235,6 +227,21 @@ def lifted_abstract_verdicts(
     return verdicts
 
 
+def lifted_mismatches(
+    abstraction: NetworkAbstraction,
+    abstract_network: Network,
+    equivalence_class: EquivalenceClass,
+    concrete: VerdictMap,
+    *lift_args,
+) -> Dict[str, List[str]]:
+    """Lift the abstract verdicts (``lift_args``: specs, concrete nodes,
+    waypoints, path bound) and compare them with the ``concrete`` ones."""
+    lifted = lifted_abstract_verdicts(
+        abstraction, abstract_network, equivalence_class, *lift_args
+    )
+    return compare_verdicts(concrete, lifted)
+
+
 def compare_verdicts(
     concrete: VerdictMap, lifted: VerdictMap
 ) -> Dict[str, List[str]]:
@@ -275,22 +282,14 @@ def check_scenario_soundness(
     """
     abstraction = baseline.abstraction
     mapped, reason = abstract_scenario_for(abstraction, bonsai.network, scenario)
-    surviving = sorted(
-        (str(n) for n in failed_network.graph.nodes), key=str
-    )
+    surviving = sorted(str(n) for n in failed_network.graph.nodes)
+    lift_args = (specs, surviving, waypoints, path_bound)
 
     if mapped is not None and baseline.abstract_network is not None:
-        failed_abstract = mapped.apply_loose(baseline.abstract_network)
-        lifted = lifted_abstract_verdicts(
-            abstraction,
-            failed_abstract,
-            failed_ec,
-            specs,
-            surviving,
-            waypoints,
-            path_bound,
+        failed_abstract = mapped.apply(baseline.abstract_network, strict=False)
+        mismatched = lifted_mismatches(
+            abstraction, failed_abstract, failed_ec, concrete_verdicts, *lift_args
         )
-        mismatched = compare_verdicts(concrete_verdicts, lifted)
         return SoundnessOutcome(
             sound_under_failure=True,
             abstract_scenario=mapped,
@@ -313,16 +312,9 @@ def check_scenario_soundness(
         encoder=bonsai.encoder if bonsai.use_bdds else None,
     )
     result = fallback.compress(failed_ec, build_network=True)
-    lifted = lifted_abstract_verdicts(
-        result.abstraction,
-        result.abstract_network,
-        failed_ec,
-        specs,
-        surviving,
-        waypoints,
-        path_bound,
+    mismatched = lifted_mismatches(
+        result.abstraction, result.abstract_network, failed_ec, concrete_verdicts, *lift_args
     )
-    mismatched = compare_verdicts(concrete_verdicts, lifted)
     return SoundnessOutcome(
         sound_under_failure=False,
         reason=reason,

@@ -24,7 +24,7 @@ Scope: events are coordinator-side.  Worker-process emissions
 (e.g. a scratch fallback inside a process-pool worker) stay in the
 worker; the coordinator-side stream is identical across executors for
 everything it owns -- notably per-class completions, which the parity
-tests check across serial/thread/process/stealing runs.
+tests check across serial/process/stealing runs.
 """
 
 from __future__ import annotations

@@ -22,7 +22,7 @@ the unit, and ships the serialized span subtree + counter delta back
 with the result.  The coordinator buffers the captures and attaches
 them *sorted by (class index, chunk index)* at the end of the run,
 merging a split class's chunk captures back into one class span --
-so the final tree is bit-identical across serial, thread, process and
+so the final tree is bit-identical across serial, process and
 work-stealing executors regardless of completion order.
 
 **File format.**  ``write_jsonl`` emits one header line
@@ -253,8 +253,8 @@ def capture_unit(capture: bool, ship_metrics: bool, name: str = "class", /, **ta
     ``capture`` turns on span collection for the unit (enabling tracing
     locally inside a pool worker whose process never saw ``begin()``);
     ``ship_metrics`` snapshots the local registry so process workers can
-    send their counter increments home.  In-process executors pass
-    ``ship_metrics=False`` -- they already increment the shared registry,
+    send their counter increments home.  The serial executor passes
+    ``ship_metrics=False`` -- it already increments the shared registry,
     and merging the delta again would double count.
     """
     global _ENABLED

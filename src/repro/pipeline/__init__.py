@@ -7,7 +7,7 @@ provides the batching/fan-out/aggregation machinery:
 
 * :class:`EncodedNetwork` -- the pickleable one-time encoding artifact;
 * :class:`ClassFanOut` -- the generic engine running any registered
-  per-class task over a process pool, thread pool, or serial fallback;
+  per-class task over a process pool or the serial fallback;
 * :class:`CompressionPipeline` -- the ``"compress"`` task plus report
   aggregation on top of :class:`ClassFanOut`;
 * :class:`PipelineReport` / :class:`EcRecord` -- aggregated, JSON-ready

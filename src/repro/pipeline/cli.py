@@ -351,7 +351,7 @@ def build_subcommand_parser() -> argparse.ArgumentParser:
     )
     store_save.add_argument(
         "--workers", type=int, default=4,
-        help="worker count for thread/process bakes",
+        help="worker count for process bakes",
     )
     _trace_argument(store_save)
 
@@ -666,6 +666,43 @@ def _run_verify(args, families: List[str]) -> int:
     return _report_status(diverged or timed_out, _emit_reports(args, reports))
 
 
+def _run_whatif(args, families: List[str], title: str, make_sweep, per_class, notes=None) -> int:
+    """The per-family loop of both what-if subcommands.
+
+    ``make_sweep(family, network)`` returns the family's sweep, or an
+    exit code to stop with (after printing why); ``per_class(record)``
+    is the ``--per-class`` line of one class; ``notes(sweep, report)``
+    returns extra lines printed above the summary.
+    """
+    reports = {}
+    failed = False
+    for family in families:
+        size = args.size if args.size is not None else default_size(family)
+        network = build_topology(family, size)
+        sweep = make_sweep(family, network)
+        if isinstance(sweep, int):
+            return sweep
+        try:
+            with trace.span("family", family=family, size=str(size)):
+                report = sweep.run()
+        except PipelineError as exc:
+            print(f"{title} failed: {exc}", file=sys.stderr)
+            return 1
+        reports[family] = report
+        failed = failed or not report.ok()
+        print(f"== {title}: {family}({size}) ==")
+        lines = (notes(sweep, report) if notes is not None else []) + report.summary_lines()
+        for line in lines:
+            print(f"  {line}")
+        if not _check_memory_budget(args, report):
+            failed = True
+        if args.per_class:
+            for record in report.iter_records():
+                print(f"  {record.prefix}: {per_class(record)}")
+
+    return _report_status(failed, _emit_reports(args, reports))
+
+
 def _run_failures(args, families: List[str]) -> int:
     from repro.failures import FailureSweep
 
@@ -676,56 +713,35 @@ def _run_failures(args, families: List[str]) -> int:
         return 2
 
     k = args.k if args.k is not None else 1
-    reports = {}
-    failed = False
-    for family in families:
-        size = args.size if args.size is not None else default_size(family)
-        network = build_topology(family, size)
+
+    def make_sweep(family, network):
         sample = (
             args.sample
             if args.sample is not None
             else default_failure_sample(family, k)
         )
-        try:
-            sweep = FailureSweep(
-                network,
-                k=k,
-                sample=sample,
-                seed=args.seed if args.seed is not None else 0,
-                include_nodes=args.fail_nodes,
-                suite=suite,
-                oracle=not args.no_oracle,
-                soundness=not args.no_soundness,
-                executor=args.executor,
-                workers=args.workers,
-                batch_size=args.batch_size,
-                limit=args.limit,
-                use_bdds=not args.syntactic,
-                **_sweep_scale_kwargs(args),
-            )
-            with trace.span("family", family=family, size=str(size)):
-                report = sweep.run()
-        except PipelineError as exc:
-            print(f"failure sweep failed: {exc}", file=sys.stderr)
-            return 1
-        reports[family] = report
-        failed = failed or not report.ok()
-        print(f"== failure sweep: {family}({size}) ==")
-        for line in report.summary_lines():
-            print(f"  {line}")
-        if not _check_memory_budget(args, report):
-            failed = True
-        if args.per_class:
-            for record in report.iter_records():
-                broken = sum(
-                    1 for outcome in record.scenarios if outcome.newly_failing
-                )
-                print(
-                    f"  {record.prefix}: {broken}/{len(record.scenarios)} "
-                    f"scenarios change a verdict"
-                )
+        return FailureSweep(
+            network,
+            k=k,
+            sample=sample,
+            seed=args.seed if args.seed is not None else 0,
+            include_nodes=args.fail_nodes,
+            suite=suite,
+            oracle=not args.no_oracle,
+            soundness=not args.no_soundness,
+            executor=args.executor,
+            workers=args.workers,
+            batch_size=args.batch_size,
+            limit=args.limit,
+            use_bdds=not args.syntactic,
+            **_sweep_scale_kwargs(args),
+        )
 
-    return _report_status(failed, _emit_reports(args, reports))
+    def per_class(record):
+        broken = sum(1 for outcome in record.scenarios if outcome.newly_failing)
+        return f"{broken}/{len(record.scenarios)} scenarios change a verdict"
+
+    return _run_whatif(args, families, "failure sweep", make_sweep, per_class)
 
 
 def _load_baseline_artifact(path: str, network):
@@ -776,19 +792,15 @@ def _run_delta(args, families: List[str]) -> int:
             print(f"error: cannot load change script {args.changes}: {exc}", file=sys.stderr)
             return 2
 
-    baseline_path = args.baseline
-    reports = {}
-    failed = False
-    for family in families:
+    def make_sweep(family, network):
         size = args.size if args.size is not None else default_size(family)
-        network = build_topology(family, size)
         baseline = None
-        if baseline_path:
+        if args.baseline:
             try:
-                baseline = _load_baseline_artifact(baseline_path, network)
+                baseline = _load_baseline_artifact(args.baseline, network)
             except StoreError as exc:
                 print(
-                    f"error: cannot use baseline artifact at {baseline_path}: {exc}",
+                    f"error: cannot use baseline artifact at {args.baseline}: {exc}",
                     file=sys.stderr,
                 )
                 return 1
@@ -802,7 +814,7 @@ def _run_delta(args, families: List[str]) -> int:
                 network, family, steps=steps, seed=args.seed if args.seed is not None else 0
             )
         try:
-            sweep = DeltaSweep(
+            return DeltaSweep(
                 network,
                 script=script,
                 suite=suite,
@@ -817,39 +829,28 @@ def _run_delta(args, families: List[str]) -> int:
                 use_bdds=not args.syntactic,
                 **_sweep_scale_kwargs(args),
             )
-            with trace.span("family", family=family, size=str(size)):
-                report = sweep.run()
         except ChangeError as exc:
             print(f"invalid change script for {family}({size}): {exc}", file=sys.stderr)
             return 2
-        except PipelineError as exc:
-            print(f"change sweep failed: {exc}", file=sys.stderr)
-            return 1
-        reports[family] = report
-        failed = failed or not report.ok()
-        print(f"== change-impact sweep: {family}({size}) ==")
-        if baseline is not None:
-            warm = sum(
-                1 for record in report.iter_records() if record.baseline_from_store
-            )
-            print(
-                f"  warm baseline {baseline.fingerprint[:12]}...: "
-                f"{warm}/{report.record_count()} classes seeded from the store"
-            )
-        for line in report.summary_lines():
-            print(f"  {line}")
-        if not _check_memory_budget(args, report):
-            failed = True
-        if args.per_class:
-            for record in report.iter_records():
-                broken = sum(1 for outcome in record.steps if outcome.newly_failing)
-                reused = sum(1 for outcome in record.steps if outcome.reused)
-                print(
-                    f"  {record.prefix}: {broken}/{len(record.steps)} steps "
-                    f"change a verdict, {reused} reused the abstraction"
-                )
 
-    return _report_status(failed, _emit_reports(args, reports))
+    def notes(sweep, report):
+        if sweep.baseline is None:
+            return []
+        warm = sum(1 for record in report.iter_records() if record.baseline_from_store)
+        return [
+            f"warm baseline {sweep.baseline.fingerprint[:12]}...: "
+            f"{warm}/{report.record_count()} classes seeded from the store"
+        ]
+
+    def per_class(record):
+        broken = sum(1 for outcome in record.steps if outcome.newly_failing)
+        reused = sum(1 for outcome in record.steps if outcome.reused)
+        return (
+            f"{broken}/{len(record.steps)} steps change a verdict, "
+            f"{reused} reused the abstraction"
+        )
+
+    return _run_whatif(args, families, "change-impact sweep", make_sweep, per_class, notes)
 
 
 def _run_compress(args, family: str) -> int:

@@ -5,18 +5,13 @@ compression, property verification, ... -- can be fanned out over a pool
 of workers once the one-time :class:`~repro.pipeline.encoded.EncodedNetwork`
 artifact is in hand.  :class:`ClassFanOut` is that generic engine: it
 splits the classes into batches, dispatches a *registered task* to a pool,
-and streams the per-class results back in class order.  Three executors
+and streams the per-class results back in class order.  Two executors
 are supported:
 
 * ``"process"`` -- a :class:`~concurrent.futures.ProcessPoolExecutor`; the
   one-time artifact is pickled once and handed to each worker process via
   the pool initializer, so every process owns a private, fully hash-consed
   :class:`~repro.bdd.manager.BddManager`;
-* ``"thread"`` -- a :class:`~concurrent.futures.ThreadPoolExecutor`; each
-  worker *thread* still receives its own unpickled copy of the artifact
-  (the BDD manager is not thread-safe, and private copies keep the output
-  bit-identical to the serial run).  Useful when processes are unavailable
-  and the per-class work releases the GIL rarely;
 * ``"serial"`` -- everything runs inline on the caller's objects, in class
   order, with no pickling.  This is the deterministic fallback and the
   baseline the scaling benchmark compares against.
@@ -36,17 +31,11 @@ rides the same executors with the ``"verify"`` task.
 from __future__ import annotations
 
 import importlib
-import threading
 import time
 import traceback
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    Executor,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-    wait,
-)
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.abstraction.bonsai import Bonsai, CompressionResult
@@ -59,7 +48,7 @@ from repro.pipeline.encoded import EncodedNetwork
 from repro.pipeline.report import EcRecord, PipelineReport
 
 #: The executors understood by :class:`ClassFanOut`.
-EXECUTORS = ("serial", "thread", "process")
+EXECUTORS = ("serial", "process")
 
 #: The process-executor schedulers: ``"stealing"`` routes through the
 #: cost-aware :class:`~repro.pipeline.shard.ShardCoordinator`; ``"static"``
@@ -127,10 +116,9 @@ def compress_class_task(
 # ----------------------------------------------------------------------
 # Worker side
 # ----------------------------------------------------------------------
-#: Per-worker state: each process's main thread (process pools) or each
-#: worker thread (thread pools) gets its own Bonsai over its own copy of
-#: the encoded artifact.
-_worker_state = threading.local()
+#: Per-worker state: each pool process gets its own Bonsai over its own
+#: copy of the encoded artifact.
+_worker_state = SimpleNamespace(bonsai=None)
 
 
 def _init_worker(payload: bytes) -> None:
@@ -144,19 +132,16 @@ def _run_batch(
     batch: Sequence[Tuple[int, EquivalenceClass]],
     options: dict,
     capture_trace: bool = False,
-    ship_metrics: bool = False,
 ) -> List[Tuple[int, object, float, Optional[dict]]]:
     """Run one batch of ``(index, class)`` pairs through a task in a worker.
 
     Each entry comes back as ``(index, result, seconds, obs)`` -- the
     observed per-class wall-clock feeds the cost model scheduling the
-    next sweep, and ``obs`` (present only when the coordinator asked for
-    it) carries the unit's captured span subtree and/or the worker-local
-    counter delta back across the pool boundary.  ``capture_trace`` is
-    the coordinator's ``trace.active()`` at submit time (worker processes
-    never saw ``trace.begin()`` themselves); ``ship_metrics`` is set only
-    for process pools -- thread workers already increment the shared
-    registry, and shipping the delta too would double count.  Failures
+    next sweep, and ``obs`` carries the unit's captured span subtree (when
+    tracing) and the worker-local counter delta, which the coordinator
+    merges into its own registry, back across the pool boundary.
+    ``capture_trace`` is the coordinator's ``trace.active()`` at submit
+    time (worker processes never saw ``trace.begin()`` themselves).  Failures
     are returned as ``(index, _WorkerFailure, seconds, obs)`` markers
     rather than raised, so one bad class produces a clean
     coordinator-side error naming the class instead of a bare pickled
@@ -168,7 +153,7 @@ def _run_batch(
     for index, equivalence_class in batch:
         start = time.perf_counter()
         with trace.capture_unit(
-            capture_trace, ship_metrics, cls=str(equivalence_class.prefix)
+            capture_trace, True, cls=str(equivalence_class.prefix)
         ) as obs:
             try:
                 result = task(bonsai, equivalence_class, options)
@@ -178,8 +163,7 @@ def _run_batch(
                     error=repr(exc),
                     traceback=traceback.format_exc(),
                 )
-        blob = obs if (capture_trace or ship_metrics) else None
-        out.append((index, result, time.perf_counter() - start, blob))
+        out.append((index, result, time.perf_counter() - start, obs))
     return out
 
 
@@ -212,7 +196,7 @@ class ClassFanOut:
     task_options:
         A pickleable dictionary passed verbatim to every task invocation.
     executor:
-        ``"serial"``, ``"thread"`` or ``"process"``.
+        ``"serial"`` or ``"process"``.
     workers:
         Worker count for the parallel executors (default: 4).
     batch_size:
@@ -231,7 +215,7 @@ class ClassFanOut:
         :class:`~repro.pipeline.shard.ShardCoordinator` -- a shared work
         queue dispatched largest-first from observed per-class costs;
         ``"static"`` keeps the original contiguous pre-batching.  The
-        serial/thread executors ignore this.
+        serial executor ignores this.
     cost_store:
         An :class:`~repro.store.ArtifactStore` (or its path) whose
         ``costs.json`` sidecars persist observed per-class wall-clock
@@ -483,7 +467,7 @@ class ClassFanOut:
         pools only); captured span subtrees attach under the current span
         sorted by (class index, chunk index), a split class's chunks
         merged back into one class span -- so the resulting trace tree is
-        bit-identical across serial, thread, process and stealing runs.
+        bit-identical across serial, process and stealing runs.
         """
         entries = self._unit_obs
         self._unit_obs = []
@@ -597,19 +581,6 @@ class ClassFanOut:
                 )
         return out if out is not None else []
 
-    def _make_pool(self, payload: bytes) -> Executor:
-        if self.executor == "process":
-            return ProcessPoolExecutor(
-                max_workers=self.workers,
-                initializer=_init_worker,
-                initargs=(payload,),
-            )
-        return ThreadPoolExecutor(
-            max_workers=self.workers,
-            initializer=_init_worker,
-            initargs=(payload,),
-        )
-
     def _run_pool(
         self,
         artifact: EncodedNetwork,
@@ -621,9 +592,12 @@ class ClassFanOut:
         class_by_index = {index: ec for batch in batches for index, ec in batch}
         out: Optional[List[Tuple[int, object]]] = [] if collect else None
         capture = trace.active()
-        ship_metrics = self.executor == "process"
         try:
-            with self._make_pool(payload) as pool:
+            with ProcessPoolExecutor(
+                max_workers=self.workers,
+                initializer=_init_worker,
+                initargs=(payload,),
+            ) as pool:
                 pending = {
                     pool.submit(
                         _run_batch,
@@ -631,7 +605,6 @@ class ClassFanOut:
                         batch,
                         self.task_options,
                         capture,
-                        ship_metrics,
                     )
                     for batch in batches
                 }

@@ -11,7 +11,6 @@ seeds.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
 
@@ -193,22 +192,6 @@ class PipelineReport(StreamingReport, ReportEnvelope):
             "speedup": self.speedup,
         }
         return data
-
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
-    @classmethod
-    def from_dict(cls, data: Dict) -> "PipelineReport":
-        payload = cls.strip_envelope(data)
-        payload.pop("aggregate", None)
-        records = [
-            cls.record_from_payload(record) for record in payload.pop("records", [])
-        ]
-        return cls(records=records, **payload)
-
-    @classmethod
-    def from_json(cls, text: str) -> "PipelineReport":
-        return cls.from_dict(json.loads(text))
 
     # ------------------------------------------------------------------
     # Display

@@ -10,8 +10,8 @@ a shared work queue:
 
 * the classes are turned into **cost-weighted work units** -- whole
   classes, or (for the failures/delta tasks, whose per-class work is a
-  list of independent scenarios / a chainable list of steps) sub-class
-  chunks registered in :data:`UNIT_SPLITTERS`;
+  list of steps -- independent scenarios or a chained change script)
+  step-range chunks (the tasks in :data:`STEP_TASKS`);
 * unit costs come from **observed wall-clock of prior runs**, recorded
   per ``(network fingerprint, task)`` into an in-process cache and --
   when a cost store is configured -- a schema-versioned ``costs.json``
@@ -111,7 +111,7 @@ def heuristic_cost(equivalence_class: EquivalenceClass) -> float:
 
 
 # ----------------------------------------------------------------------
-# Sub-class unit splitting (failures: scenarios; delta: step ranges)
+# Sub-class unit splitting (what-if tasks: step ranges)
 # ----------------------------------------------------------------------
 def _chunk_bounds(total: int, pieces: int) -> List[Tuple[int, int]]:
     """``pieces`` near-equal contiguous ``[start, end)`` ranges of
@@ -127,72 +127,39 @@ def _chunk_bounds(total: int, pieces: int) -> List[Tuple[int, int]]:
     return bounds
 
 
-def _split_failure_options(options: dict, pieces: int):
-    """Scenario chunks: outcomes are independent per scenario, so a chunk
-    is just the same task over a slice of ``options["scenarios"]``."""
-    scenarios = options.get("scenarios") or []
-    if len(scenarios) < 2:
+def _split_step_options(options: dict, pieces: int):
+    """Step-range chunks of a what-if task (failure scenarios or change
+    steps, both under ``options["steps"]``): a chunk carries
+    ``step_range=[a, b)``.  Independent steps need nothing else; chained
+    steps fast-forward by scratch-solving step ``a-1`` as their seed --
+    labelings are unique fixed points, so the chunk's outcomes match the
+    serial run's (:func:`repro.delta.engine.run_class_steps` implements
+    both)."""
+    steps = options.get("steps") or []
+    if len(steps) < 2:
         return None
-    bounds = _chunk_bounds(len(scenarios), pieces)
-    if len(bounds) < 2:
-        return None
-    patches = [{"scenarios": scenarios[a:b]} for a, b in bounds]
-    fractions = [(b - a) / len(scenarios) for a, b in bounds]
-    return patches, fractions
-
-
-def _split_delta_options(options: dict, pieces: int):
-    """Step-range chunks: steps chain (each seeds from the previous), so
-    a chunk carries ``step_range=[a, b)`` and the task fast-forwards by
-    scratch-solving step ``a-1`` as its seed -- labelings are unique
-    fixed points, so the chunk's outcomes match the chained serial run's
-    (``repro.delta.sweep.delta_class_task`` implements the replay)."""
-    script = options.get("script") or []
-    if len(script) < 2:
-        return None
-    bounds = _chunk_bounds(len(script), pieces)
+    bounds = _chunk_bounds(len(steps), pieces)
     if len(bounds) < 2:
         return None
     patches = [{"step_range": [a, b]} for a, b in bounds]
-    fractions = [(b - a) / len(script) for a, b in bounds]
+    fractions = [(b - a) / len(steps) for a, b in bounds]
     return patches, fractions
 
 
-def _merge_failure_chunks(chunks: List[object]) -> object:
-    """Chunk 0's record (baseline fields) with every chunk's scenarios
-    concatenated in chunk order == original scenario order."""
+def _merge_step_chunks(chunks: List[object]) -> object:
+    """Chunk 0's record (baseline fields) with every chunk's outcomes
+    concatenated in chunk order == original step order."""
     merged = chunks[0]
     for extra in chunks[1:]:
-        merged.scenarios.extend(extra.scenarios)
+        merged.outcomes.extend(extra.outcomes)
     return merged
 
 
-def _merge_delta_chunks(chunks: List[object]) -> object:
-    merged = chunks[0]
-    for extra in chunks[1:]:
-        merged.steps.extend(extra.steps)
-    return merged
-
-
-#: ``task path -> splitter(options, pieces) -> (patches, fractions) | None``.
-UNIT_SPLITTERS: Dict[str, Callable] = {
-    "repro.failures.sweep:failure_class_task": _split_failure_options,
-    "repro.delta.sweep:delta_class_task": _split_delta_options,
-}
-
-#: ``task path -> merger(chunk results in chunk order) -> record``.
-UNIT_MERGERS: Dict[str, Callable] = {
-    "repro.failures.sweep:failure_class_task": _merge_failure_chunks,
-    "repro.delta.sweep:delta_class_task": _merge_delta_chunks,
-}
-
-
-def register_unit_splitter(task_path: str, splitter: Callable, merger: Callable) -> None:
-    """Register sub-class splitting for a task: ``splitter(options,
-    pieces)`` returns ``(options patches, weight fractions)`` or ``None``;
-    ``merger(chunk results)`` reassembles the per-class record."""
-    UNIT_SPLITTERS[task_path] = splitter
-    UNIT_MERGERS[task_path] = merger
+#: The tasks whose per-class work is a list of steps that
+#: :func:`_split_step_options` can cut into chunks.
+STEP_TASKS = frozenset(
+    {"repro.failures.sweep:failure_class_task", "repro.delta.sweep:delta_class_task"}
+)
 
 
 # ----------------------------------------------------------------------
@@ -287,7 +254,7 @@ class ShardCoordinator:
         the heuristic covers the gaps).
     split:
         Whether to split classes into sub-units when the class count
-        cannot keep the pool busy (needs a registered splitter).
+        cannot keep the pool busy (what-if tasks only: :data:`STEP_TASKS`).
     """
 
     def __init__(
@@ -345,8 +312,8 @@ class ShardCoordinator:
         # to keep the pool busy; chunk overhead (each chunk re-pays the
         # class baseline) is only worth paying to kill stragglers.
         pieces = 1
-        splitter = UNIT_SPLITTERS.get(self.task_path) if self.split else None
-        if splitter is not None and self.classes:
+        splittable = self.split and self.task_path in STEP_TASKS
+        if splittable and self.classes:
             if len(self.classes) < self.workers * 2:
                 pieces = -(-self.workers * 2 // len(self.classes))
 
@@ -355,7 +322,7 @@ class ShardCoordinator:
             cost = known.get(
                 str(equivalence_class.prefix), heuristic_cost(equivalence_class)
             )
-            plan = splitter(self.options, pieces) if (splitter and pieces > 1) else None
+            plan = _split_step_options(self.options, pieces) if pieces > 1 else None
             if plan is None:
                 units.append(
                     WorkUnit(index=index, equivalence_class=equivalence_class, cost=cost)
@@ -447,7 +414,6 @@ class ShardCoordinator:
         if not bundles:
             return results
         capture_trace = trace.active()
-        merger = UNIT_MERGERS.get(self.task_path)
         #: class index -> {chunk: result} for classes awaiting chunks.
         partial: Dict[int, Dict[int, object]] = {}
         expected: Dict[int, int] = {}
@@ -518,13 +484,8 @@ class ShardCoordinator:
                                 chunks[unit.chunk] = item
                                 expected[index] = unit.chunks
                                 if len(chunks) == expected[index]:
-                                    ordered = [
-                                        chunks[i] for i in range(expected[index])
-                                    ]
-                                    record = (
-                                        merger(ordered)
-                                        if merger is not None
-                                        else ordered[-1]
+                                    record = _merge_step_chunks(
+                                        [chunks[i] for i in range(expected[index])]
                                     )
                                     del partial[index]
                                     finish(index, unit, record)

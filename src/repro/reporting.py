@@ -109,6 +109,27 @@ class ReportEnvelope:
             payload.pop(key, None)
         return payload
 
+    @classmethod
+    def record_from_payload(cls, payload: Dict):
+        """Rebuild one record from its JSON payload."""
+        raise NotImplementedError
+
+    @classmethod
+    def from_dict(cls, data: Dict):
+        """Rebuild a report from :meth:`to_dict` output (the envelope and
+        the derived ``aggregate`` block are dropped)."""
+        payload = cls.strip_envelope(data)
+        payload.pop("aggregate", None)
+        records = [cls.record_from_payload(raw) for raw in payload.pop("records", [])]
+        return cls(records=records, **payload)
+
+    def to_json(self, indent: int = 2) -> str:
+        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
+
+    @classmethod
+    def from_json(cls, text: str):
+        return cls.from_dict(json.loads(text))
+
 
 class StreamingReport:
     """Mixin: incremental record aggregation with optional disk spill.
@@ -173,11 +194,6 @@ class StreamingReport:
     def record_payload(self, record) -> Dict:
         """One record's JSON payload (what ``to_dict`` emits per record)."""
         return dataclasses.asdict(record)
-
-    @classmethod
-    def record_from_payload(cls, payload: Dict):
-        """Rebuild one record from :meth:`record_payload` output."""
-        raise NotImplementedError
 
     def records_payload(self) -> List[Dict]:
         return [self.record_payload(record) for record in self.iter_records()]

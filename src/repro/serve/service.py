@@ -284,6 +284,13 @@ class VerificationService:
             self._answers[key] = answer
         return answer
 
+    def _answer(self, kind: str, key: tuple, compute) -> Dict:
+        """Coalesce identical concurrent queries and time the answer."""
+        start = time.perf_counter()
+        answer, coalesced = self._coalescer.run(key, compute)
+        self.stats.record(kind, time.perf_counter() - start, coalesced)
+        return answer
+
     def verify(
         self,
         prefix: Optional[str] = None,
@@ -296,7 +303,6 @@ class VerificationService:
         """
         props = None if properties is None else tuple(properties)
         key = ("verify", prefix, props)
-        start = time.perf_counter()
 
         def compute() -> Dict:
             report = self.session.verify(
@@ -304,24 +310,18 @@ class VerificationService:
             )
             return report.to_dict()
 
-        answer, coalesced = self._coalescer.run(key, lambda: self._cached(key, compute))
-        self.stats.record("verify", time.perf_counter() - start, coalesced)
-        return answer
+        return self._answer("verify", key, lambda: self._cached(key, compute))
 
     def delta(self, script: Sequence[Dict], revalidate: bool = True) -> Dict:
         """Validate a change script (list of ChangeSet dicts) against the
         stored baseline: zero baseline re-solves."""
         changesets = [ChangeSet.from_dict(dict(raw)) for raw in script]
         key = ("delta", json.dumps([cs.to_dict() for cs in changesets], sort_keys=True), revalidate)
-        start = time.perf_counter()
-
-        def compute() -> Dict:
-            report = self.session.delta(changesets, revalidate=revalidate)
-            return report.to_dict()
-
-        answer, coalesced = self._coalescer.run(key, compute)
-        self.stats.record("delta", time.perf_counter() - start, coalesced)
-        return answer
+        return self._answer(
+            "delta",
+            key,
+            lambda: self.session.delta(changesets, revalidate=revalidate).to_dict(),
+        )
 
     def failures(
         self,
@@ -329,21 +329,16 @@ class VerificationService:
         sample: Optional[int] = None,
         properties: Optional[Sequence[str]] = None,
     ) -> Dict:
+        """A failure sweep against the stored baseline: zero baseline
+        re-solves or re-compressions."""
         props = None if properties is None else tuple(properties)
-        key = ("failures", k, sample, props)
-        start = time.perf_counter()
-
-        def compute() -> Dict:
-            report = self.session.failures(
-                k=k,
-                sample=sample,
-                properties=None if props is None else list(props),
-            )
-            return report.to_dict()
-
-        answer, coalesced = self._coalescer.run(key, compute)
-        self.stats.record("failures", time.perf_counter() - start, coalesced)
-        return answer
+        return self._answer(
+            "failures",
+            ("failures", k, sample, props),
+            lambda: self.session.failures(
+                k=k, sample=sample, properties=None if props is None else list(props)
+            ).to_dict(),
+        )
 
     def k_resilience(
         self,
@@ -351,18 +346,13 @@ class VerificationService:
         prop: str = "reachability",
         sample: Optional[int] = None,
     ) -> Dict:
-        key = ("k-resilience", max_k, prop, sample)
-        start = time.perf_counter()
-
         def compute() -> Dict:
             kwargs = {} if sample is None else {"sample": sample}
             result = dict(self.session.k_resilience(max_k=max_k, prop=prop, **kwargs))
             result["ok"] = True
             return result
 
-        answer, coalesced = self._coalescer.run(key, compute)
-        self.stats.record("k_resilience", time.perf_counter() - start, coalesced)
-        return answer
+        return self._answer("k_resilience", ("k-resilience", max_k, prop, sample), compute)
 
 
 def parse_script(raw) -> List[ChangeSet]:

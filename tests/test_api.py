@@ -112,6 +112,40 @@ class TestSessionAnalyses:
         assert "k=1" in result
         assert "breaking_k" in result
 
+    def test_failures_use_stored_baseline(self, monkeypatch):
+        """Warm failures equal a cold sweep record for record, and no
+        class re-compresses its baseline (per-scenario fallback
+        compressions run on the failed network, never the baseline)."""
+        from repro.abstraction.bonsai import Bonsai
+        from repro.failures import FailureSweep, sample_link_failures
+
+        network = build_topology("datacenter", 2)
+        scenarios = sample_link_failures(network, 1, 3, seed=3)
+        session = Session(network)
+        cold = FailureSweep(network, scenarios=scenarios, executor="serial").run()
+
+        compressed = []
+        original = Bonsai.compress
+
+        def counting(bonsai, *args, **kwargs):
+            compressed.append(bonsai.network)
+            return original(bonsai, *args, **kwargs)
+
+        monkeypatch.setattr(Bonsai, "compress", counting)
+        COUNTERS.reset()
+        warm = session.failures(scenarios=scenarios)
+        assert warm.canonical_records() == cold.canonical_records()
+        assert not any(net is session.network for net in compressed)
+        assert all(record.compression_seconds == 0.0 for record in warm.records)
+        # Every baseline is validated by one zero-dirty seeded solve.
+        assert COUNTERS.snapshot()["seeded_solves"] >= len(session.classes)
+
+    def test_failures_reject_a_foreign_baseline(self, ring_session):
+        from repro.failures import FailureSweep
+
+        with pytest.raises(ValueError, match="does not match"):
+            FailureSweep(build_topology("ring", 6), baseline=ring_session.baseline)
+
     def test_delta_uses_stored_baseline(self, ring_session):
         from repro.delta import ChangeSet, LocalPrefOverride
 

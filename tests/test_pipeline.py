@@ -28,13 +28,12 @@ class TestParity:
     """Parallel output must be bit-identical to the serial fallback."""
 
     @pytest.mark.parametrize("fixture", ["small_ring", "small_mesh", "small_fattree"])
-    @pytest.mark.parametrize("executor", ["thread", "process"])
-    def test_parallel_matches_serial(self, request, fixture, executor):
+    def test_parallel_matches_serial(self, request, fixture):
         network = request.getfixturevalue(fixture)
         artifact = EncodedNetwork.build(network)
         serial = CompressionPipeline(artifact=artifact, executor="serial").run()
         parallel = CompressionPipeline(
-            artifact=artifact, executor=executor, workers=2
+            artifact=artifact, executor="process", workers=2
         ).run()
         assert serial.report.canonical_records() == parallel.report.canonical_records()
         # Results stream back out of order but are re-sorted by class index.
@@ -113,7 +112,8 @@ class TestCrashHandling:
             raise RuntimeError("synthetic worker crash")
 
         monkeypatch.setattr(Bonsai, "compress", boom)
-        pipeline = CompressionPipeline(small_ring, executor="thread", workers=2)
+        # Pool workers fork after the patch, so they inherit it.
+        pipeline = CompressionPipeline(small_ring, executor="process", workers=2)
         with pytest.raises(PipelineError) as excinfo:
             pipeline.run()
         message = str(excinfo.value)

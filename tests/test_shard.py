@@ -16,8 +16,7 @@ from repro.pipeline.shard import (
     ShardCoordinator,
     WorkUnit,
     _chunk_bounds,
-    _split_delta_options,
-    _split_failure_options,
+    _split_step_options,
     heuristic_cost,
     lookup_costs,
     remember_costs,
@@ -52,29 +51,30 @@ class TestChunkBounds:
 
 
 class TestSplitters:
-    def test_failure_split_slices_scenarios(self):
-        scenarios = [("link", i) for i in range(6)]
-        plan = _split_failure_options({"scenarios": scenarios}, 3)
-        assert plan is not None
-        patches, fractions = plan
-        merged = [s for patch in patches for s in patch["scenarios"]]
-        assert merged == scenarios
-        assert sum(fractions) == pytest.approx(1.0)
-
-    def test_failure_split_declines_single_scenario(self):
-        assert _split_failure_options({"scenarios": [("link", 0)]}, 4) is None
-        assert _split_failure_options({}, 4) is None
-
-    def test_delta_split_covers_all_steps(self):
-        plan = _split_delta_options({"script": ["a", "b", "c", "d", "e"]}, 2)
+    def test_split_ranges_cover_every_step(self):
+        plan = _split_step_options({"steps": ["a", "b", "c", "d", "e"]}, 2)
         assert plan is not None
         patches, fractions = plan
         ranges = [tuple(p["step_range"]) for p in patches]
         assert ranges == [(0, 3), (3, 5)]
         assert sum(fractions) == pytest.approx(1.0)
 
-    def test_delta_split_declines_single_step(self):
-        assert _split_delta_options({"script": ["a"]}, 4) is None
+    def test_split_declines_single_step(self):
+        assert _split_step_options({"steps": ["a"]}, 4) is None
+        assert _split_step_options({}, 4) is None
+
+    def test_split_ranges_partition_scenarios(self):
+        scenarios = [("link", i) for i in range(6)]
+        patches, fractions = _split_step_options({"steps": scenarios}, 3)
+        merged = [s for p in patches for s in scenarios[slice(*p["step_range"])]]
+        assert merged == scenarios
+        assert sum(fractions) == pytest.approx(1.0)
+
+    def test_only_whatif_tasks_split(self):
+        assert shard.STEP_TASKS == {
+            "repro.failures.sweep:failure_class_task",
+            "repro.delta.sweep:delta_class_task",
+        }
 
 
 class TestCoordinatorPlan:
@@ -120,7 +120,7 @@ class TestCoordinatorPlan:
         coordinator = ShardCoordinator(
             artifact=artifact,
             task_path="repro.failures.sweep:failure_class_task",
-            options={"scenarios": scenarios},
+            options={"steps": scenarios},
             classes=artifact.classes[:2],
             workers=4,
         )
@@ -132,7 +132,7 @@ class TestCoordinatorPlan:
             assert len(units) > 1
             merged = [
                 s for u in sorted(units, key=lambda u: u.chunk)
-                for s in u.patch["scenarios"]
+                for s in scenarios[slice(*u.patch["step_range"])]
             ]
             assert merged == scenarios
 
@@ -318,7 +318,7 @@ class TestStealingParity:
 
     @given(
         executor_workers=st.sampled_from(
-            [("serial", 1), ("thread", 2), ("process", 2), ("process", 3)]
+            [("serial", 1), ("process", 2), ("process", 3)]
         ),
         scheduler=st.sampled_from(["stealing", "static"]),
         limit=st.sampled_from([None, 3]),
