@@ -1,37 +1,22 @@
 #!/usr/bin/env python
-"""Scale-out benchmark: the sharded sweep scheduler under load.
+"""Scale-out benchmark: the process-pool compression pipeline under load.
 
-This benchmark characterises the cost-aware shard scheduler
-(:mod:`repro.pipeline.shard`) along the three axes the PR claims --
-scaling, memory, and scheduling -- and writes a JSON report that CI
+This benchmark characterises the streaming process-pool pipeline along
+two axes -- scaling and memory -- and writes a JSON report that CI
 regresses against (``BENCH_pr8.json``).
 
 Stages
 ------
 * ``curve``          -- nodes-vs-wall-clock (and peak RSS) points: one
   fresh child process per (family, size) running the streaming
-  compression pipeline under the process executor with the stealing
-  scheduler.  Each point is a separate OS process because
-  ``ru_maxrss`` is a lifetime high-water mark -- points measured in a
-  shared process would inherit each other's peaks;
+  compression pipeline under the process executor.  Each point is a
+  separate OS process because ``ru_maxrss`` is a lifetime high-water
+  mark -- points measured in a shared process would inherit each
+  other's peaks;
 * ``memory_budget``  -- the big fat-tree point re-run with
   ``--memory-budget``-style streaming aggregation (per-class records
   spill to disk as they arrive); the run fails if peak RSS exceeds the
-  stated bound (:data:`MEMORY_BUDGET_MIB`);
-* ``skew``           -- a deliberately skewed workload (a few classes
-  two orders of magnitude heavier than the rest, arranged to land in
-  the same static batch) run under both schedulers.  The report
-  records ``steal_speedup`` = static / stealing wall-clock, which
-  ``--min-steal-speedup`` gates in CI: work stealing must beat static
-  pre-batching on skew, not just tie it.
-
-The skewed workload uses the registered ``"bench-sleep"`` task (pure
-``time.sleep`` per class) rather than real compression: sleeps are
-deterministic, immune to CPU-count differences between machines, and
-make the scheduling effect -- not per-class solver noise -- the thing
-measured.  The stealing arm is given the true per-class costs as
-``unit_costs``, exercising the cost-aware largest-first dispatch a warm
-:class:`~repro.store.ArtifactStore` provides in production.
+  stated bound (:data:`MEMORY_BUDGET_MIB`).
 
 Every timed arm is run ``--repeat`` times and the *minimum* is
 reported, so scheduler noise cannot manufacture a regression.
@@ -42,11 +27,10 @@ Full benchmark with report::
 
     python benchmarks/bench_scale.py --out bench_scale.json
 
-CI quick mode with the regression and stealing gates::
+CI quick mode with the regression and memory gates::
 
     python benchmarks/bench_scale.py --quick \
-        --baseline BENCH_pr8.json --max-regression 0.25 \
-        --min-steal-speedup 1.3
+        --baseline BENCH_pr8.json --max-regression 0.25
 """
 
 from __future__ import annotations
@@ -57,7 +41,7 @@ import os
 import subprocess
 import sys
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 #: (family, size) curve points per mode.  Quick stays CI-sized; full
 #: climbs to the fat-tree k=16 / 320-device point the PR's memory
@@ -83,16 +67,8 @@ QUICK_CURVE_POINTS = [
 MEMORY_BUDGET_POINT = {"quick": ("fattree", 6), "full": ("fattree", 16)}
 MEMORY_BUDGET_MIB = {"quick": 256.0, "full": 384.0}
 
-#: Skewed-workload shape: ``SKEW_HEAVY`` classes sleep
-#: ``heavy_seconds`` each, the rest ``SKEW_CHEAP_SECONDS``.  The heavy
-#: classes are the *first* ones in class order, so static contiguous
-#: batching packs them two-per-batch (the worst case stealing exists to
-#: fix); per-mode ``heavy_seconds`` keeps quick CI-sized.
-SKEW_FAMILY, SKEW_SIZE = "fattree", 6
-SKEW_WORKERS = 4
-SKEW_HEAVY = 4
-SKEW_HEAVY_SECONDS = {"quick": 0.4, "full": 0.6}
-SKEW_CHEAP_SECONDS = 0.01
+#: Process-pool size of every point.
+POINT_WORKERS = 4
 
 #: Flat grace added to every per-stage regression check.  Curve points
 #: pay a full interpreter + pool start per measurement, so the floor is
@@ -122,8 +98,7 @@ def run_point(spec: Dict) -> Dict:
     pipeline = CompressionPipeline(
         network,
         executor=spec.get("executor", "process"),
-        workers=int(spec.get("workers", 4)),
-        scheduler=spec.get("scheduler", "stealing"),
+        workers=int(spec.get("workers", POINT_WORKERS)),
     )
     if spec.get("spill", True):
         report = pipeline.run_streaming(spill=True)
@@ -219,60 +194,6 @@ def stage_memory_budget(mode: str, repeat: int) -> Dict:
     }
 
 
-def _skew_arm(scheduler: str, heavy_seconds: float) -> float:
-    """One skewed-workload run under ``scheduler``; returns wall-clock."""
-    import repro.pipeline.shard  # noqa: F401 - registers "bench-sleep"
-    from repro.abstraction.ec import routable_equivalence_classes
-    from repro.netgen.families import build_topology
-    from repro.pipeline.core import ClassFanOut
-    from repro.pipeline.encoded import EncodedNetwork
-
-    network = build_topology(SKEW_FAMILY, SKEW_SIZE)
-    artifact = EncodedNetwork.build(network, use_bdds=True)
-    prefixes = [str(ec.prefix) for ec in routable_equivalence_classes(network)]
-    heavy = prefixes[:SKEW_HEAVY]
-    sleep_map = {prefix: heavy_seconds for prefix in heavy}
-    costs = {
-        prefix: sleep_map.get(prefix, SKEW_CHEAP_SECONDS) for prefix in prefixes
-    }
-    fanout = ClassFanOut(
-        artifact=artifact,
-        task="bench-sleep",
-        task_options={"sleep_seconds": sleep_map, "default_sleep": SKEW_CHEAP_SECONDS},
-        executor="process",
-        workers=SKEW_WORKERS,
-        scheduler=scheduler,
-        # The stealing arm gets the true costs (what a warm cost store
-        # provides); the static arm ignores them by construction.
-        unit_costs=costs if scheduler == "stealing" else None,
-    )
-    start = time.perf_counter()
-    results = fanout.execute()
-    elapsed = time.perf_counter() - start
-    if len(results) != len(prefixes):
-        raise RuntimeError(
-            f"skew arm ({scheduler}) returned {len(results)}/{len(prefixes)} classes"
-        )
-    return elapsed
-
-
-def stage_skew(mode: str, repeat: int) -> Tuple[float, float, float]:
-    """Both schedulers on the skewed workload; ``(static, stealing, speedup)``."""
-    heavy_seconds = SKEW_HEAVY_SECONDS[mode]
-    # Both arms keep their own minimum, so noise in either cannot
-    # manufacture (or hide) the speedup.
-    static_best = min(_skew_arm("static", heavy_seconds) for _ in range(repeat))
-    stealing_best = min(_skew_arm("stealing", heavy_seconds) for _ in range(repeat))
-    speedup = static_best / stealing_best if stealing_best else float("inf")
-    print(
-        f"    skew ({SKEW_HEAVY}x{heavy_seconds:.1f}s heavy / "
-        f"{SKEW_CHEAP_SECONDS:.2f}s cheap, {SKEW_WORKERS} workers): "
-        f"static {static_best:.2f}s vs stealing {stealing_best:.2f}s "
-        f"({speedup:.2f}x)"
-    )
-    return static_best, stealing_best, speedup
-
-
 # ----------------------------------------------------------------------
 # Driver
 # ----------------------------------------------------------------------
@@ -284,8 +205,6 @@ def run_benchmark(mode: str, repeat: int):
     curve = stage_curve(points, repeat)
     print("  memory budget:")
     budget = stage_memory_budget(mode, repeat)
-    print("  skew:")
-    static_s, stealing_s, speedup = stage_skew(mode, repeat)
 
     stages: Dict[str, float] = {}
     rss: Dict[str, float] = {}
@@ -295,13 +214,7 @@ def run_benchmark(mode: str, repeat: int):
         rss[key] = point["peak_rss_mb"]
     stages["memory_budget"] = budget["wall_seconds"]
     rss["memory_budget"] = budget["peak_rss_mb"]
-    stages["skew_static"] = static_s
-    stages["skew_stealing"] = stealing_s
-    extras = {
-        "points": curve,
-        "memory_budget": budget,
-        "steal_speedup": speedup,
-    }
+    extras = {"points": curve, "memory_budget": budget}
     return stages, rss, extras
 
 
@@ -375,13 +288,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "baseline (default 0.25)",
     )
     parser.add_argument(
-        "--min-steal-speedup",
-        type=float,
-        default=None,
-        help="fail unless work stealing beats static batching by at least "
-        "this factor on the skewed workload",
-    )
-    parser.add_argument(
         "--history",
         default=None,
         help="append this run to the given bench-history file "
@@ -414,8 +320,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         if name in rss:
             line += f"  (peak RSS {rss[name]:7.1f} MiB)"
         print(line)
-    speedup = extras["steal_speedup"]
-    print(f"  work stealing vs static on skew: {speedup:.2f}x")
 
     status = 0
     if not extras["memory_budget"]["within_budget"]:
@@ -424,13 +328,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             f"MEMORY BUDGET EXCEEDED: "
             f"{extras['memory_budget']['peak_rss_mb']:.1f} MiB over the "
             f"{extras['memory_budget']['budget_mib']:.0f} MiB bound",
-            file=sys.stderr,
-        )
-    if args.min_steal_speedup is not None and speedup < args.min_steal_speedup:
-        status = 1
-        print(
-            f"STEALING TOO SLOW: {speedup:.2f}x is below the "
-            f"--min-steal-speedup {args.min_steal_speedup:.1f}x gate",
             file=sys.stderr,
         )
     if args.baseline:
@@ -453,10 +350,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             "benchmark": "scale",
             "mode": mode,
             "repeat": args.repeat,
-            "workers": SKEW_WORKERS,
+            "workers": POINT_WORKERS,
             "stages": stages,
             "rss_mb": rss,
-            "steal_speedup": speedup,
             "points": extras["points"],
             "memory_budget": extras["memory_budget"],
         }
@@ -477,7 +373,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             meta={
                 "mode": mode,
                 "repeat": args.repeat,
-                "steal_speedup": speedup,
                 "rss_mb": rss,
             },
         )

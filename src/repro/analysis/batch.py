@@ -657,8 +657,6 @@ class BatchVerifier:
         limit: Optional[int] = None,
         timeout_seconds: Optional[float] = None,
         use_bdds: bool = True,
-        scheduler: str = "stealing",
-        cost_store=None,
     ):
         if executor not in EXECUTORS:
             raise ValueError(
@@ -673,8 +671,6 @@ class BatchVerifier:
             batch_size=batch_size,
             limit=limit,
             use_bdds=use_bdds,
-            scheduler=scheduler,
-            cost_store=cost_store,
         )
         self.network = network
         self.executor = executor

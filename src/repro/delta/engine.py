@@ -24,11 +24,9 @@ The step type picks the mode (a :class:`StepMode`):
   from the previous step's solution through a policy-key edge diff, and
   their abstraction check is :func:`~repro.delta.revalidate.revalidate_class`.
 
-The shard scheduler may split a class's steps into ``step_range`` chunks;
-a chained chunk starting mid-script replays the step before it
-(``fast_forward``), an independent chunk needs nothing.  The records, the
-report aggregates and wire format (:class:`WhatIfReport`) and the sweep
-driver (:class:`WhatIfSweep`) are shared the same way.
+The records, the report aggregates and wire format
+(:class:`WhatIfReport`) and the sweep driver (:class:`WhatIfSweep`) are
+shared the same way.
 """
 
 from __future__ import annotations
@@ -424,9 +422,6 @@ class StepMode:
         """Mode-specific fields of the class record."""
         return {}
 
-    def fast_forward(self, start: int) -> None:
-        """Restore the seed a chunk starting at step ``start`` needs."""
-
     def advance(self, index: int, view: StepView, solution) -> None:
         """Called after every step with its solution (``None``: unroutable)."""
 
@@ -523,20 +518,7 @@ def run_class_steps(bonsai, equivalence_class: EquivalenceClass, options: dict, 
         },
         **mode.record_extras(),
     )
-    # Sub-class chunking (the shard coordinator's ``step_range`` patches):
-    # run only steps ``[start, end)``.
-    start, end = 0, len(mode.steps)
-    if options.get("step_range") is not None:
-        start, end = (int(bound) for bound in options["step_range"])
-        start, end = max(0, start), min(end, len(mode.steps))
-    if start > 0:
-        mode.fast_forward(start)
-    for index in range(start, end):
-        step = mode.steps[index]
-        # One span per in-range step -- and deliberately none around the
-        # baseline or a chunk's fast-forward: split chunks re-pay both,
-        # and the chunk-merged trace must match the serial tree span for
-        # span.
+    for index, step in enumerate(mode.steps):
         with trace.span(mode.SPAN, name=step.name):
             record.outcomes.append(mode.run_step(index, step))
     return record
@@ -549,8 +531,7 @@ class WhatIfSweep:
     """Fan one mode's per-class task out over every destination class.
 
     ``fanout`` takes the :class:`~repro.pipeline.core.ClassFanOut` knobs
-    (``batch_size`` / ``limit`` / ``use_bdds`` / ``scheduler`` /
-    ``cost_store`` / ``unit_costs``).  ``baseline`` is a stored
+    (``batch_size`` / ``limit`` / ``use_bdds``).  ``baseline`` is a stored
     :class:`~repro.store.BaselineArtifact`: it supplies the encoding and
     every class's labeling, transfer memo and compression, so no class
     re-solves or re-compresses its baseline.  ``oracle`` also

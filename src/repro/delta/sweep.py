@@ -26,7 +26,6 @@ from repro.abstraction.ec import EquivalenceClass, routable_equivalence_classes
 from repro.analysis.batch import PropertySuite
 from repro.config.network import Network
 from repro.config.transfer import (
-    build_srp_from_network,
     compile_base_edges,
     specialize_compiled_edges,
     syntactic_policy_keys,
@@ -47,7 +46,6 @@ from repro.delta.revalidate import class_signature, revalidate_class
 from repro.failures.soundness import lifted_abstract_verdicts
 from repro.pipeline.core import register_class_task
 from repro.reporting import register_report
-from repro.srp.solver import solve
 
 #: Format version of the JSON delta reports.
 DELTA_REPORT_VERSION = 1
@@ -367,32 +365,6 @@ class _ChangeMode(StepMode):
 
     def record_extras(self) -> Dict[str, object]:
         return {"baseline_from_store": self.stored is not None}
-
-    def fast_forward(self, start: int) -> None:
-        """Scratch-solve the step just before ``start`` as the seed: SRP
-        labelings are unique fixed points, so the seeded state (and hence
-        every chunk outcome) is identical to the chained serial run's;
-        only timings differ."""
-        self.prev_step = start - 1
-        self.prev_network = self.state.steps[self.prev_step][1]
-        prev_ec, _ = _class_on(self.prev_network, self.prefix)
-        if prev_ec is None:
-            # Serial left the chain unseedable after an unroutable step.
-            self.prev_solution = self.prev_keys = self.prev_index = None
-            return
-        sim_prefix = prev_ec.prefix
-        forward_srp = build_srp_from_network(
-            self.prev_network,
-            sim_prefix,
-            set(prev_ec.origins),
-            compiled=self.state.compiled_for(self.prev_step, self.network, sim_prefix),
-            include_syntactic_keys=False,
-        )
-        self.prev_solution = solve(forward_srp, max_rounds=self.max_rounds)
-        self.prev_keys = self.state.policy_keys(self.prev_step, self.network, sim_prefix)
-        self.prev_index = BaselineIndex.from_solution(self.prev_solution)
-        self.prev_prefix = sim_prefix
-        self.prev_origins = frozenset(str(o) for o in prev_ec.origins)
 
     def new_outcome(self, changeset: ChangeSet) -> ChangeOutcome:
         return ChangeOutcome(

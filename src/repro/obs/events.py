@@ -2,13 +2,12 @@
 
 Metrics say how much, traces say how long; events say *what happened,
 when* -- a schema-versioned stream of typed records (sweep start/end,
-per-class completion, intra-class splits, stolen units, spills,
-incremental-to-scratch fallbacks, cache overflows, store loads and
-refusals) that drives three consumers:
+per-class completion, spills, incremental-to-scratch fallbacks, cache
+overflows, store loads and refusals) that drives three consumers:
 
 * a JSONL file (``--events PATH``) for offline inspection;
-* a live progress meter (``--progress``) whose ETA comes from the
-  cost model's per-class estimates shipped in the ``sweep.start`` event;
+* a live progress meter (``--progress``) whose ETA extrapolates the
+  observed class completion rate;
 * a bounded in-memory :class:`EventLog` behind ``repro.serve``'s
   ``/events`` long-poll endpoint.
 
@@ -24,7 +23,7 @@ Scope: events are coordinator-side.  Worker-process emissions
 (e.g. a scratch fallback inside a process-pool worker) stay in the
 worker; the coordinator-side stream is identical across executors for
 everything it owns -- notably per-class completions, which the parity
-tests check across serial/process/stealing runs.
+tests check across serial and process runs.
 """
 
 from __future__ import annotations
@@ -222,11 +221,9 @@ class EventLog:
 class ProgressMeter:
     """Subscriber that renders a one-line live meter on ``stream``.
 
-    ``sweep.start`` carries the planner's per-class cost estimates (warm
-    ``costs.json`` numbers when available, the structural heuristic
-    otherwise); completion advances the meter by *cost*, not count, so
-    the ETA stays honest on skewed workloads: with an observed rate of
-    ``completed_cost / elapsed``, ETA is ``remaining_cost / rate``.
+    ``sweep.start`` carries the class count; every ``class.completed``
+    advances the meter by one class.  With an observed rate of
+    ``done_classes / elapsed``, ETA is ``remaining_classes / rate``.
     """
 
     def __init__(self, stream=None, min_interval: Optional[float] = None):
@@ -246,9 +243,6 @@ class ProgressMeter:
         self.task = task
         self.total_classes = 0
         self.done_classes = 0
-        self.total_cost = 0.0
-        self.done_cost = 0.0
-        self.costs: Dict[str, float] = {}
         self._t0 = time.monotonic()
         self._last_render = 0.0
 
@@ -258,14 +252,9 @@ class ProgressMeter:
             if etype == "sweep.start":
                 self._reset(str(event.get("task", "")))
                 self.total_classes = int(event.get("classes") or 0)
-                self.costs = {
-                    str(k): float(v) for k, v in (event.get("costs") or {}).items()
-                }
-                self.total_cost = sum(self.costs.values()) or float(self.total_classes)
                 self._render(force=True)
             elif etype == "class.completed":
                 self.done_classes += 1
-                self.done_cost += self.costs.get(str(event.get("cls")), 1.0)
                 self._render(force=self.done_classes == self.total_classes)
             elif etype == "sweep.end":
                 self._render(force=True)
@@ -278,10 +267,11 @@ class ProgressMeter:
             return
         self._last_render = now
         elapsed = now - self._t0
-        frac = min(1.0, self.done_cost / self.total_cost) if self.total_cost else 0.0
-        if self.done_cost > 0 and elapsed > 0:
-            rate = self.done_cost / elapsed
-            eta = max(0.0, (self.total_cost - self.done_cost) / rate)
+        done, total = self.done_classes, self.total_classes
+        frac = min(1.0, done / total) if total else 0.0
+        if done > 0 and elapsed > 0:
+            rate = done / elapsed
+            eta = max(0.0, (total - done) / rate)
             eta_text = f"eta {eta:5.1f}s"
         else:
             eta_text = "eta   ?  "

@@ -62,12 +62,7 @@ from repro.netgen.families import (
     default_size,
 )
 from repro.obs import trace
-from repro.pipeline.core import (
-    EXECUTORS,
-    SCHEDULERS,
-    CompressionPipeline,
-    PipelineError,
-)
+from repro.pipeline.core import EXECUTORS, CompressionPipeline, PipelineError
 
 # ----------------------------------------------------------------------
 # Subcommand parser
@@ -116,21 +111,6 @@ def _execution_arguments(parser: argparse.ArgumentParser) -> None:
         help="use syntactic policy keys instead of BDDs (ablation mode)",
     )
     parser.add_argument(
-        "--scheduler",
-        choices=SCHEDULERS,
-        default="stealing",
-        help="process-executor scheduling: cost-aware work stealing "
-        "(default) or the original static pre-batching",
-    )
-    parser.add_argument(
-        "--cost-store",
-        default=None,
-        metavar="DIR",
-        help="artifact store root whose costs.json sidecars persist "
-        "observed per-class wall-clock between runs (warms the stealing "
-        "scheduler's dispatch order)",
-    )
-    parser.add_argument(
         "--memory-budget",
         type=float,
         default=None,
@@ -162,14 +142,14 @@ def _trace_argument(parser: argparse.ArgumentParser) -> None:
         "--events",
         default=None,
         metavar="PATH",
-        help="write the structured event stream (sweep/class/steal/split/"
-        "spill/fallback/store events) as schema-versioned JSONL",
+        help="write the structured event stream (sweep/class/spill/"
+        "fallback/store events) as schema-versioned JSONL",
     )
     parser.add_argument(
         "--progress",
         action="store_true",
-        help="render a live progress meter on stderr (ETA from the cost "
-        "model's per-class estimates)",
+        help="render a live progress meter on stderr (ETA from the "
+        "observed class completion rate)",
     )
 
 
@@ -566,12 +546,8 @@ def _report_status(failed: bool, emitted: bool) -> int:
 
 
 def _sweep_scale_kwargs(args) -> dict:
-    """The shard-scheduler knobs shared by every sweep subcommand."""
-    return dict(
-        scheduler=args.scheduler,
-        cost_store=args.cost_store,
-        spill=args.memory_budget is not None,
-    )
+    """The scale-out knobs shared by the what-if sweep subcommands."""
+    return dict(spill=args.memory_budget is not None)
 
 
 def _check_memory_budget(args, report) -> bool:
@@ -601,6 +577,7 @@ def _run_verify(args, families: List[str]) -> int:
     reports = {}
     diverged = False
     timed_out = False
+    over_budget = False
     # One shared wall-clock budget across every family: each verifier gets
     # whatever remains, so "--family all --timeout 60" means 60 seconds
     # total, not 60 per family.
@@ -637,8 +614,6 @@ def _run_verify(args, families: List[str]) -> int:
                 limit=args.limit,
                 timeout_seconds=remaining,
                 use_bdds=not args.syntactic,
-                scheduler=args.scheduler,
-                cost_store=args.cost_store,
             )
             try:
                 with trace.span("family", family=family, size=str(size)):
@@ -652,6 +627,8 @@ def _run_verify(args, families: List[str]) -> int:
         print(f"== batch verification: {family}({size}) ==")
         for line in report.summary_lines():
             print(f"  {line}")
+        if not _check_memory_budget(args, report):
+            over_budget = True
         if args.per_class:
             for record in report.records:
                 status = "TIMED OUT" if record.timed_out else (
@@ -663,7 +640,9 @@ def _run_verify(args, families: List[str]) -> int:
                     f"abstract {record.abstract_seconds:.4f}s)"
                 )
 
-    return _report_status(diverged or timed_out, _emit_reports(args, reports))
+    return _report_status(
+        diverged or timed_out or over_budget, _emit_reports(args, reports)
+    )
 
 
 def _run_whatif(args, families: List[str], title: str, make_sweep, per_class, notes=None) -> int:
@@ -865,8 +844,6 @@ def _run_compress(args, family: str) -> int:
             limit=args.limit,
             build_networks=args.build_networks,
             use_bdds=not args.syntactic,
-            scheduler=args.scheduler,
-            cost_store=args.cost_store,
         )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -937,7 +914,6 @@ def _run_store(args) -> int:
                 limit=args.limit,
                 executor=args.executor,
                 workers=args.workers,
-                cost_store=store,
             )
             entry = store.save(artifact)
             print(
@@ -994,13 +970,6 @@ def _run_store(args) -> int:
         print(
             "refusals this process: "
             + ", ".join(f"{reason}={count}" for reason, count in refusals.items())
-        )
-    costs = store.load_costs(fingerprint)
-    for task_path, block in sorted(costs.get("tasks", {}).items()):
-        print(
-            f"observed costs [{task_path}]: {block.get('num_units', 0)} units, "
-            f"{block.get('total_seconds', 0.0):.3f}s total, "
-            f"recorded {block.get('recorded_at', '?')}"
         )
     return 0
 

@@ -50,11 +50,6 @@ from repro.pipeline.report import EcRecord, PipelineReport
 #: The executors understood by :class:`ClassFanOut`.
 EXECUTORS = ("serial", "process")
 
-#: The process-executor schedulers: ``"stealing"`` routes through the
-#: cost-aware :class:`~repro.pipeline.shard.ShardCoordinator`; ``"static"``
-#: keeps the original contiguous pre-batching.
-SCHEDULERS = ("stealing", "static")
-
 
 class PipelineError(RuntimeError):
     """A worker failed while running a per-class task."""
@@ -135,11 +130,11 @@ def _run_batch(
 ) -> List[Tuple[int, object, float, Optional[dict]]]:
     """Run one batch of ``(index, class)`` pairs through a task in a worker.
 
-    Each entry comes back as ``(index, result, seconds, obs)`` -- the
-    observed per-class wall-clock feeds the cost model scheduling the
-    next sweep, and ``obs`` carries the unit's captured span subtree (when
-    tracing) and the worker-local counter delta, which the coordinator
-    merges into its own registry, back across the pool boundary.
+    Each entry comes back as ``(index, result, seconds, obs)``:
+    ``seconds`` is the observed per-class wall-clock, and ``obs`` carries
+    the unit's captured span subtree (when tracing) and the worker-local
+    counter delta, which the coordinator merges into its own registry,
+    back across the pool boundary.
     ``capture_trace`` is the coordinator's ``trace.active()`` at submit
     time (worker processes never saw ``trace.begin()`` themselves).  Failures
     are returned as ``(index, _WorkerFailure, seconds, obs)`` markers
@@ -201,30 +196,14 @@ class ClassFanOut:
         Worker count for the parallel executors (default: 4).
     batch_size:
         Classes per work unit.  Defaults to spreading the classes evenly
-        so each worker sees about four batches (cheap load balancing
-        without per-class submission overhead).  Setting it explicitly
-        forces the static scheduler (the stealing coordinator plans its
-        own cost-weighted bundles).
+        so each worker sees about four contiguous batches: whichever
+        worker goes idle pulls the next batch from the pool's FIFO call
+        queue, so a slow batch cannot idle the pool, and a batch is large
+        enough to amortise per-submission overhead.
     limit:
         Run only the first ``limit`` classes.
     use_bdds:
         Forwarded to :class:`~repro.abstraction.bonsai.Bonsai`.
-    scheduler:
-        How the *process* executor dispatches work: ``"stealing"``
-        (default) routes through the cost-aware
-        :class:`~repro.pipeline.shard.ShardCoordinator` -- a shared work
-        queue dispatched largest-first from observed per-class costs;
-        ``"static"`` keeps the original contiguous pre-batching.  The
-        serial executor ignores this.
-    cost_store:
-        An :class:`~repro.store.ArtifactStore` (or its path) whose
-        ``costs.json`` sidecars persist observed per-class wall-clock
-        between processes.  Optional; without it costs still flow through
-        an in-process cache, and a cold schedule falls back to a size
-        heuristic.
-    unit_costs:
-        Explicit ``{class prefix: seconds}`` scheduling weights,
-        overriding the store lookup (benchmarks and tests).
     """
 
     def __init__(
@@ -239,17 +218,10 @@ class ClassFanOut:
         batch_size: Optional[int] = None,
         limit: Optional[int] = None,
         use_bdds: bool = True,
-        scheduler: str = "stealing",
-        cost_store=None,
-        unit_costs: Optional[Dict[str, float]] = None,
     ):
         if executor not in EXECUTORS:
             raise ValueError(
                 f"unknown executor {executor!r}; expected one of {EXECUTORS}"
-            )
-        if scheduler not in SCHEDULERS:
-            raise ValueError(
-                f"unknown scheduler {scheduler!r}; expected one of {SCHEDULERS}"
             )
         if network is None and artifact is None:
             raise ValueError("either a network or an EncodedNetwork is required")
@@ -268,19 +240,12 @@ class ClassFanOut:
         self.batch_size = batch_size
         self.limit = limit
         self.use_bdds = use_bdds
-        self.scheduler = scheduler
-        self.cost_store = cost_store
-        self.unit_costs = dict(unit_costs) if unit_costs else None
         #: What the most recent :meth:`execute` actually ran.
         self.last_classes: List[EquivalenceClass] = []
         self.last_batches: List[List[Tuple[int, EquivalenceClass]]] = []
-        self.last_scheduler: str = "static"
-        #: Observed per-class wall-clock / unit counts of the last execute
-        #: (what gets recorded into the cost model).
+        #: Observed per-class wall-clock of the last execute.
         self.last_unit_seconds: Dict[str, float] = {}
-        self.last_unit_counts: Dict[str, int] = {}
-        self._fingerprint: Optional[str] = None
-        self._unit_obs: List[Tuple[int, int, dict]] = []
+        self._unit_obs: List[Tuple[int, dict]] = []
 
     # ------------------------------------------------------------------
     # Batching
@@ -324,14 +289,6 @@ class ClassFanOut:
         self.last_classes = classes
         return artifact, classes
 
-    def network_fingerprint(self) -> str:
-        """The content fingerprint keying this network's observed costs."""
-        if self._fingerprint is None:
-            from repro.store.fingerprint import network_fingerprint
-
-            self._fingerprint = network_fingerprint(self.network)
-        return self._fingerprint
-
     def execute(
         self,
         on_result: Optional[Callable[[int, object, float], None]] = None,
@@ -351,46 +308,37 @@ class ClassFanOut:
         ``last_classes`` / ``last_batches`` so aggregators report exactly
         what ran instead of re-deriving (and possibly diverging from) the
         batching; observed per-class wall-clock lands on
-        ``last_unit_seconds`` and feeds the cost model for the next run.
+        ``last_unit_seconds``.
         """
         if collect is None:
             collect = on_result is None
         artifact, classes = self.prepare()
         self.last_unit_seconds = {}
-        self.last_unit_counts = {}
+        #: Per-unit observability captures -- ``(index, blob)`` -- buffered
+        #: during the run and folded in *sorted by index* afterwards, so
+        #: the attached trace subtrees (and merged counter deltas) are
+        #: independent of completion order.
+        self._unit_obs = []
         sweep_t0 = time.perf_counter()
-        if _events.enabled():
-            self._emit_sweep_start(classes)
-
-        stealing = (
-            self.executor == "process"
-            and self.scheduler == "stealing"
-            and self.batch_size is None
-            and bool(classes)
+        _events.emit(
+            "sweep.start",
+            task=self.task,
+            network=self.network.name,
+            executor=self.executor,
+            workers=1 if self.executor == "serial" else self.workers,
+            classes=len(classes),
         )
-        self.last_scheduler = "stealing" if stealing else "static"
-        #: Per-unit observability captures -- ``(index, chunk, blob)`` --
-        #: buffered during the run and folded in *sorted by (index,
-        #: chunk)* afterwards, so the attached trace subtrees (and merged
-        #: counter deltas) are independent of completion order.
-        self._unit_obs: List[Tuple[int, int, dict]] = []
-        if stealing:
-            indexed_results = self._run_stealing(
-                artifact, classes, on_result=on_result, collect=collect
+        batches = self.partition(classes)
+        self.last_batches = batches
+        if self.executor == "serial" or not batches:
+            indexed_results = self._run_serial(
+                artifact, batches, on_result=on_result, collect=collect
             )
         else:
-            batches = self.partition(classes)
-            self.last_batches = batches
-            if self.executor == "serial" or not batches:
-                indexed_results = self._run_serial(
-                    artifact, batches, on_result=on_result, collect=collect
-                )
-            else:
-                indexed_results = self._run_pool(
-                    artifact, batches, on_result=on_result, collect=collect
-                )
+            indexed_results = self._run_pool(
+                artifact, batches, on_result=on_result, collect=collect
+            )
         self._finalize_unit_obs(merge_metrics=self.executor == "process")
-        self._record_costs()
         _events.emit(
             "sweep.end",
             task=self.task,
@@ -403,37 +351,6 @@ class ClassFanOut:
             return None
         return [result for _, result in sorted(indexed_results, key=lambda p: p[0])]
 
-    def _emit_sweep_start(self, classes: Sequence[EquivalenceClass]) -> None:
-        """The ``sweep.start`` event, carrying the cost model's per-class
-        estimates (warm ``costs.json`` numbers when available, the
-        structural heuristic otherwise) so the progress meter's ETA is
-        cost-weighted, not count-weighted.  Only built when someone is
-        listening -- the cost lookup is not free."""
-        from repro.pipeline import shard as _shard
-
-        try:
-            known = _shard.lookup_costs(
-                self.network_fingerprint(), self.task, self.cost_store
-            )
-        except Exception:
-            known = {}
-        costs = {
-            str(ec.prefix): round(
-                known.get(str(ec.prefix), _shard.heuristic_cost(ec)), 6
-            )
-            for ec in classes
-        }
-        _events.emit(
-            "sweep.start",
-            task=self.task,
-            network=self.network.name,
-            executor=self.executor,
-            scheduler=self.scheduler,
-            workers=1 if self.executor == "serial" else self.workers,
-            classes=len(classes),
-            costs=costs,
-        )
-
     def _note_unit(
         self,
         index: int,
@@ -444,10 +361,7 @@ class ClassFanOut:
         out,
     ) -> None:
         prefix = str(equivalence_class.prefix)
-        self.last_unit_seconds[prefix] = (
-            self.last_unit_seconds.get(prefix, 0.0) + seconds
-        )
-        self.last_unit_counts[prefix] = self.last_unit_counts.get(prefix, 0) + 1
+        self.last_unit_seconds[prefix] = seconds
         _events.emit(
             "class.completed",
             task=self.task,
@@ -465,82 +379,25 @@ class ClassFanOut:
 
         Worker counter deltas merge into the global registry (process
         pools only); captured span subtrees attach under the current span
-        sorted by (class index, chunk index), a split class's chunks
-        merged back into one class span -- so the resulting trace tree is
-        bit-identical across serial, process and stealing runs.
+        sorted by class index -- so the resulting trace tree is
+        bit-identical across the serial and process executors.
         """
-        entries = self._unit_obs
+        entries = sorted(self._unit_obs, key=lambda entry: entry[0])
         self._unit_obs = []
         if merge_metrics:
-            for _, _, blob in entries:
+            for _, blob in entries:
                 delta = blob.get("metrics")
                 if delta:
                     _metrics.merge_counters(delta)
         for prefix, seconds in sorted(self.last_unit_seconds.items()):
             _metrics.histogram("pipeline.class_seconds").observe(seconds)
-        _metrics.counter("pipeline.classes_completed").inc(
-            sum(self.last_unit_counts.values())
-        )
+        _metrics.counter("pipeline.classes_completed").inc(len(self.last_unit_seconds))
         if not trace.active():
             return
-        by_index: Dict[int, List[Tuple[int, dict]]] = {}
-        for index, chunk, blob in entries:
+        for _, blob in entries:
             span_dict = blob.get("span")
             if span_dict is not None:
-                by_index.setdefault(index, []).append((chunk, span_dict))
-        for index in sorted(by_index):
-            chunks = [s for _, s in sorted(by_index[index], key=lambda pair: pair[0])]
-            trace.attach(trace.merge_chunk_spans(chunks))
-
-    def _record_costs(self) -> None:
-        """Transparently persist observed per-class costs (advisory: a
-        broken cost store must never fail the sweep it advised)."""
-        if not self.last_unit_seconds:
-            return
-        if self.cost_store is None and self.last_scheduler != "stealing":
-            return
-        try:
-            from repro.pipeline import shard
-
-            shard.remember_costs(
-                self.network_fingerprint(),
-                self.task,
-                self.last_unit_seconds,
-                self.last_unit_counts,
-                cost_store=self.cost_store,
-            )
-        except Exception:  # noqa: BLE001 - cost data is advisory
-            pass
-
-    def _run_stealing(
-        self,
-        artifact: EncodedNetwork,
-        classes: Sequence[EquivalenceClass],
-        on_result,
-        collect: bool,
-    ) -> List[Tuple[int, object]]:
-        from repro.pipeline import shard
-
-        coordinator = shard.ShardCoordinator(
-            artifact=artifact,
-            task_path=self.task,
-            options=self.task_options,
-            classes=classes,
-            workers=self.workers,
-            unit_costs=self.unit_costs,
-            fingerprint=self.network_fingerprint(),
-            cost_store=self.cost_store,
-        )
-        coordinator.plan()
-        self.last_batches = [
-            [(unit.index, unit.equivalence_class) for unit in bundle]
-            for bundle in coordinator.bundles
-        ]
-        results = coordinator.run(on_result=on_result, collect=collect)
-        self.last_unit_seconds = dict(coordinator.observed_seconds)
-        self.last_unit_counts = dict(coordinator.observed_units)
-        self._unit_obs.extend(coordinator.captured_obs)
-        return results if results is not None else []
+                trace.attach(span_dict)
 
     def _run_serial(
         self,
@@ -570,7 +427,7 @@ class ClassFanOut:
                             f"{equivalence_class.prefix} failed: {exc!r}"
                         ) from exc
                 if capture:
-                    self._unit_obs.append((index, 0, obs))
+                    self._unit_obs.append((index, obs))
                 self._note_unit(
                     index,
                     equivalence_class,
@@ -594,7 +451,7 @@ class ClassFanOut:
         capture = trace.active()
         try:
             with ProcessPoolExecutor(
-                max_workers=self.workers,
+                max_workers=min(self.workers, len(batches)),
                 initializer=_init_worker,
                 initargs=(payload,),
             ) as pool:
@@ -621,7 +478,7 @@ class ClassFanOut:
                                         f"{item.traceback}"
                                     )
                                 if obs is not None:
-                                    self._unit_obs.append((index, 0, obs))
+                                    self._unit_obs.append((index, obs))
                                 self._note_unit(
                                     index,
                                     class_by_index[index],
@@ -681,9 +538,6 @@ class CompressionPipeline(ClassFanOut):
         limit: Optional[int] = None,
         build_networks: bool = False,
         use_bdds: bool = True,
-        scheduler: str = "stealing",
-        cost_store=None,
-        unit_costs: Optional[Dict[str, float]] = None,
     ):
         super().__init__(
             network,
@@ -695,9 +549,6 @@ class CompressionPipeline(ClassFanOut):
             batch_size=batch_size,
             limit=limit,
             use_bdds=use_bdds,
-            scheduler=scheduler,
-            cost_store=cost_store,
-            unit_costs=unit_costs,
         )
         self.build_networks = build_networks
 

@@ -10,7 +10,7 @@ one line at a time when the report aggregates or writes itself out.
 
 The spill keeps an in-memory ``(class index, byte offset, length)`` table
 so iteration yields records in *class order* regardless of the order the
-scheduler completed them in -- the same canonicalisation the in-memory
+process pool completed them in -- the same canonicalisation the in-memory
 path gets by sorting, so spilled reports stay bit-identical to serial
 ones (timings aside).
 """

@@ -17,7 +17,6 @@ from repro.store.artifact import (
 )
 from repro.store.fingerprint import canonical_form, network_fingerprint
 from repro.store.store import (
-    COSTS_SCHEMA_VERSION,
     STORE_SCHEMA_VERSION,
     ArtifactStore,
     StoreError,
@@ -25,7 +24,6 @@ from repro.store.store import (
 
 __all__ = [
     "ARTIFACT_SCHEMA_VERSION",
-    "COSTS_SCHEMA_VERSION",
     "STORE_SCHEMA_VERSION",
     "ArtifactStore",
     "BaselineArtifact",

@@ -38,15 +38,8 @@ from repro.store.fingerprint import network_fingerprint
 #: Bump when the on-disk layout (meta keys, file names) changes.
 STORE_SCHEMA_VERSION = 1
 
-#: Bump when the ``costs.json`` sidecar layout changes.  Cost data is
-#: *advisory* (it only orders the shard scheduler's dispatch), so readers
-#: tolerate missing/foreign/mismatched sidecars by returning nothing
-#: instead of raising.
-COSTS_SCHEMA_VERSION = 1
-
 _META_NAME = "meta.json"
 _PAYLOAD_NAME = "payload.pkl"
-_COSTS_NAME = "costs.json"
 
 
 class StoreError(Exception):
@@ -242,70 +235,6 @@ class ArtifactStore:
         return artifact, True, reason
 
     # ------------------------------------------------------------------
-    # Observed per-class costs (the shard scheduler's memory)
-    # ------------------------------------------------------------------
-    def record_costs(
-        self,
-        fingerprint: str,
-        task_path: str,
-        unit_seconds: Dict[str, float],
-        unit_counts: Optional[Dict[str, int]] = None,
-    ) -> Path:
-        """Merge one sweep's observed per-class wall-clock into the
-        entry's ``costs.json`` sidecar, keyed by task path.
-
-        The sidecar lives beside ``meta.json`` but is deliberately *not*
-        covered by the payload checksum: costs are advisory scheduling
-        data that every sweep rewrites, while the meta/payload pair is an
-        integrity-checked artifact.  An entry directory may carry costs
-        before (or without) ever holding a payload -- sweeps that never
-        persisted a baseline still remember their class costs.
-        """
-        entry = self.entry_dir(fingerprint)
-        entry.mkdir(parents=True, exist_ok=True)
-        data = self.load_costs(fingerprint)
-        if not data:
-            data = {
-                "costs_schema_version": COSTS_SCHEMA_VERSION,
-                "fingerprint": fingerprint,
-                "tasks": {},
-            }
-        stamp = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
-        data["recorded_at"] = stamp
-        data["tasks"][task_path] = {
-            "unit_seconds": {str(k): float(v) for k, v in unit_seconds.items()},
-            "unit_counts": {
-                str(k): int(v) for k, v in (unit_counts or {}).items()
-            },
-            "total_seconds": float(sum(unit_seconds.values())),
-            "num_units": len(unit_seconds),
-            "recorded_at": stamp,
-        }
-        path = entry / _COSTS_NAME
-        _atomic_write(path, json.dumps(data, indent=2, sort_keys=True).encode("utf-8"))
-        return path
-
-    def load_costs(self, fingerprint: str) -> Dict:
-        """The entry's costs sidecar, or ``{}`` when absent, unreadable,
-        schema-mismatched or foreign (advisory data never raises)."""
-        path = self.entry_dir(fingerprint) / _COSTS_NAME
-        if not path.is_file():
-            return {}
-        try:
-            data = json.loads(path.read_text())
-        except (OSError, ValueError):
-            return {}
-        if not isinstance(data, dict):
-            return {}
-        if data.get("costs_schema_version") != COSTS_SCHEMA_VERSION:
-            return {}
-        if data.get("fingerprint") != fingerprint:
-            return {}
-        if not isinstance(data.get("tasks"), dict):
-            return {}
-        return data
-
-    # ------------------------------------------------------------------
     # Inventory
     # ------------------------------------------------------------------
     def list(self) -> List[Dict]:
@@ -328,7 +257,7 @@ class ArtifactStore:
         """Remove one entry; True when something was deleted."""
         entry = self.entry_dir(fingerprint)
         removed = False
-        for name in (_META_NAME, _PAYLOAD_NAME, _COSTS_NAME):
+        for name in (_META_NAME, _PAYLOAD_NAME):
             path = entry / name
             if path.is_file():
                 path.unlink()

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
+
+import pytest
 
 from repro.pipeline.cli import build_subcommand_parser, main as pipeline_main
 from repro.srp.solver import COUNTERS
@@ -67,6 +70,27 @@ class TestSubcommands:
         assert pipeline_main(["verify", "--help"]) == 0
         capsys.readouterr()
 
+    @pytest.mark.parametrize("flag", [["--scheduler", "static"], ["--cost-store", "store"]])
+    def test_one_process_scheduler_has_no_scheduling_flags(self, capsys, flag):
+        code = pipeline_main(["compress", "--topo", "ring", "--executor", "serial", *flag])
+        assert code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_verify_exceeding_memory_budget_exits_one(self, capsys):
+        code = pipeline_main(
+            ["verify", "--family", "ring", "--executor", "serial", "--memory-budget", "1"]
+        )
+        assert code == 1
+        assert "EXCEEDS budget 1.0 MiB" in capsys.readouterr().out
+
+    def test_verify_within_memory_budget_exits_zero(self, capsys):
+        code = pipeline_main(
+            ["verify", "--family", "ring", "--executor", "serial",
+             "--memory-budget", "1000000"]
+        )
+        assert code == 0
+        assert "within budget" in capsys.readouterr().out
+
 
 class TestStoreAndServeSubcommands:
     def test_store_save_list_info(self, tmp_path, capsys):
@@ -101,6 +125,35 @@ class TestStoreAndServeSubcommands:
         code = pipeline_main(["store", "info", "--fingerprint", entry.name, "--store", str(root)])
         assert code == 1
         assert "REFUSED" in capsys.readouterr().err
+
+    def test_entry_with_legacy_costs_sidecar_still_serves(self, tmp_path, capsys):
+        """A ``costs.json`` left by releases that recorded per-class
+        scheduling costs is ignored: the entry still verifies and still
+        seeds a warm delta run."""
+        root = tmp_path / "artifacts"
+        code = pipeline_main(
+            ["store", "save", "--topo", "ring", "--size", "5", "--store", str(root)]
+        )
+        assert code == 0
+        entry = next(child for child in root.iterdir() if child.is_dir())
+        legacy = Path(__file__).parent / "fixtures" / "legacy_costs_ring5.json"
+        assert json.loads(legacy.read_text())["fingerprint"] == entry.name
+        (entry / "costs.json").write_text(legacy.read_text())
+        capsys.readouterr()
+
+        code = pipeline_main(["store", "info", "--fingerprint", entry.name, "--store", str(root)])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "entry verifies" in out and "costs" not in out
+
+        COUNTERS.reset()
+        code = pipeline_main(
+            ["delta", "--topo", "ring", "--size", "5", "--executor", "serial",
+             "--baseline", str(entry), "--no-oracle", "--no-revalidate",
+             "--no-rebuild-oracle"]
+        )
+        assert code == 0
+        assert COUNTERS.snapshot()["scratch_solves"] == 0
 
     def test_store_list_empty(self, tmp_path, capsys):
         code = pipeline_main(["store", "list", "--store", str(tmp_path / "none")])

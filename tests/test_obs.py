@@ -158,50 +158,6 @@ class TestTrace:
             pass
         assert blob == {"span": None, "metrics": None}
 
-    def test_merge_chunk_spans(self):
-        chunks = [
-            {"name": "class", "tags": {"cls": "p", "chunk": 0}, "dur_ms": 2.0,
-             "metrics": {"a": 1}, "children": [{"name": "s1", "tags": {}, "dur_ms": 1.0,
-                                               "metrics": {}, "children": []}]},
-            {"name": "class", "tags": {"cls": "p", "chunk": 1}, "dur_ms": 3.0,
-             "metrics": {"a": 2, "b": 1}, "children": [{"name": "s2", "tags": {}, "dur_ms": 1.0,
-                                                        "metrics": {}, "children": []}]},
-        ]
-        merged = trace.merge_chunk_spans(chunks)
-        assert merged["tags"] == {"cls": "p"}
-        assert merged["dur_ms"] == 5.0
-        assert merged["metrics"] == {"a": 3, "b": 1}
-        assert [c["name"] for c in merged["children"]] == ["s1", "s2"]
-
-    @given(
-        st.lists(
-            st.lists(st.text("ab", min_size=1, max_size=3), max_size=4),
-            min_size=1,
-            max_size=5,
-        )
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_merge_chunk_spans_concatenates_in_chunk_order(self, chunk_children):
-        chunks = [
-            {
-                "name": "class",
-                "tags": {"cls": "p", "chunk": index},
-                "dur_ms": float(index),
-                "metrics": {"n": len(children)},
-                "children": [
-                    {"name": name, "tags": {}, "dur_ms": 0.0, "metrics": {}, "children": []}
-                    for name in children
-                ],
-            }
-            for index, children in enumerate(chunk_children)
-        ]
-        merged = trace.merge_chunk_spans(chunks)
-        assert [c["name"] for c in merged["children"]] == [
-            name for children in chunk_children for name in children
-        ]
-        assert merged["metrics"].get("n", 0) == sum(len(c) for c in chunk_children)
-        assert "chunk" not in merged["tags"]
-
     def test_jsonl_round_trip(self, tmp_path):
         trace.begin("run", command="test")
         with trace.span("family", family="ring"):
@@ -254,7 +210,7 @@ def _traced_structure(run):
 
 
 class TestExecutorParity:
-    def test_compress_serial_process_stealing(self, small_fattree):
+    def test_compress_serial_process(self, small_fattree):
         artifact = EncodedNetwork.build(small_fattree)
 
         def run_with(**kwargs):
@@ -263,27 +219,26 @@ class TestExecutorParity:
             )
 
         serial = run_with(executor="serial")
-        process = run_with(executor="process", workers=2, scheduler="static")
-        stealing = run_with(executor="process", workers=2, scheduler="stealing")
-        assert serial == process == stealing
+        process = run_with(executor="process", workers=2)
+        assert serial == process
 
-    def test_failure_split_units_reassemble(self, small_fattree):
-        """Few classes + many workers forces scenario chunking; the
-        merged chunk spans must reproduce the serial sweep's tree."""
+    def test_failure_sweep_process_matches_serial(self, small_fattree):
+        """Fewer classes than workers: the pooled sweep's tree is still
+        the serial sweep's."""
         from repro.failures import FailureSweep
 
         kwargs = dict(k=1, soundness=False, oracle=False, limit=2)
         serial = _traced_structure(
             lambda: FailureSweep(small_fattree, executor="serial", **kwargs).run()
         )
-        stolen = _traced_structure(
+        pooled = _traced_structure(
             lambda: FailureSweep(
                 small_fattree, executor="process", workers=4, **kwargs
             ).run()
         )
-        assert serial == stolen
+        assert serial == pooled
 
-    def test_delta_split_units_reassemble(self, small_fattree):
+    def test_delta_sweep_process_matches_serial(self, small_fattree):
         from repro.delta import DeltaSweep
         from repro.netgen.changes import generated_change_script
 
@@ -292,12 +247,12 @@ class TestExecutorParity:
         serial = _traced_structure(
             lambda: DeltaSweep(small_fattree, executor="serial", **kwargs).run()
         )
-        stolen = _traced_structure(
+        pooled = _traced_structure(
             lambda: DeltaSweep(
                 small_fattree, executor="process", workers=4, **kwargs
             ).run()
         )
-        assert serial == stolen
+        assert serial == pooled
 
     @given(st.integers(1, 4))
     @settings(max_examples=3, deadline=None)

@@ -223,30 +223,41 @@ class TestEventLog:
 # Progress meter
 # ----------------------------------------------------------------------
 class TestProgressMeter:
-    def test_cost_weighted_progress_and_eta(self):
+    def test_progress_counts_classes_and_eta(self):
         stream = io.StringIO()
         meter = events.ProgressMeter(stream=stream, min_interval=0.0)
-        events.emit(
-            "sweep.start", task="compress", classes=2,
-            costs={"a": 3.0, "b": 1.0},
-        )
+        events.emit("sweep.start", task="compress", classes=4)
+        assert "eta   ?" in stream.getvalue()  # no completion yet, no rate
         events.emit("class.completed", cls="a", index=0, seconds=0.1)
-        events.emit("class.completed", cls="b", index=1, seconds=0.1)
+        assert " 25.0%" in stream.getvalue()
+        for index, cls in enumerate("bcd", start=1):
+            events.emit("class.completed", cls=cls, index=index, seconds=0.1)
         events.emit("sweep.end", task="compress")
         meter.close()
         out = stream.getvalue()
-        # Completing the 3.0-cost class alone advances the bar to 75%.
-        assert " 75.0%" in out
-        assert "2/2 classes" in out and "100.0%" in out
+        assert "4/4 classes" in out and "100.0%" in out
+        assert "eta   0.0s" in out
         assert out.endswith("\n")
 
-    def test_unknown_costs_fall_back_to_counts(self):
+    def test_per_class_costs_in_sweep_start_are_ignored(self):
+        """An event stream carrying per-class costs (as older writers
+        emitted) still advances one class at a time."""
         stream = io.StringIO()
         meter = events.ProgressMeter(stream=stream, min_interval=0.0)
-        events.emit("sweep.start", task="verify", classes=4, costs={})
-        events.emit("class.completed", cls="x", index=0, seconds=0.0)
+        events.emit(
+            "sweep.start", task="compress", classes=2, costs={"a": 3.0, "b": 1.0}
+        )
+        events.emit("class.completed", cls="a", index=0, seconds=0.1)
         meter.close()
-        assert " 25.0%" in stream.getvalue()
+        out = stream.getvalue()
+        assert " 50.0%" in out and " 75.0%" not in out
+
+    def test_unknown_class_count_renders_a_placeholder(self):
+        stream = io.StringIO()
+        meter = events.ProgressMeter(stream=stream, min_interval=0.0)
+        events.emit("sweep.start", task="verify")
+        meter.close()
+        assert "0/? classes" in stream.getvalue()
 
 
 # ----------------------------------------------------------------------
@@ -271,7 +282,8 @@ class TestPipelineEvents:
         assert types[0] == "sweep.start" and types[-1] == "sweep.end"
         start = seen[0]
         assert start["classes"] == len(artifact.classes)
-        assert set(start["costs"]) == {str(ec.prefix) for ec in artifact.classes}
+        assert start["executor"] == "serial" and start["workers"] == 1
+        assert "costs" not in start
         completed = [e for e in seen if e["type"] == "class.completed"]
         assert len(completed) == len(artifact.classes)
         assert sorted(e["index"] for e in completed) == list(
@@ -293,9 +305,8 @@ class TestPipelineEvents:
             )
 
         serial = completions(executor="serial")
-        static = completions(executor="process", workers=2, scheduler="static")
-        stealing = completions(executor="process", workers=2, scheduler="stealing")
-        assert serial == static == stealing
+        process = completions(executor="process", workers=2)
+        assert serial == process
         assert len(serial) == len(artifact.classes)
 
     @given(st.integers(1, 4))
@@ -320,14 +331,11 @@ class TestPipelineEvents:
             executor="process", workers=workers
         )
 
-    def test_stealing_emits_only_known_event_types(self, small_fattree):
+    def test_process_emits_only_known_event_types(self, small_fattree):
         artifact = EncodedNetwork.build(small_fattree)
-        seen = _completion_stream(
-            artifact=artifact, executor="process", workers=4, scheduler="stealing"
-        )
+        seen = _completion_stream(artifact=artifact, executor="process", workers=4)
         known = {
-            "sweep.start", "sweep.end", "class.completed",
-            "class.split", "units.stolen", "spill.open", "spill.close",
+            "sweep.start", "sweep.end", "class.completed", "spill.open", "spill.close",
         }
         assert {e["type"] for e in seen} <= known
 

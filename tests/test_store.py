@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import pickle
+from pathlib import Path
 
 import pytest
 
@@ -93,6 +94,20 @@ class TestBaselineArtifact:
         for baseline in artifact.baselines.values():
             assert baseline.compression is None
             assert baseline.labeling
+
+    @pytest.mark.parametrize("workers", [2, 8])
+    def test_process_build_matches_serial(self, ring_network, ring_artifact, workers):
+        """A pooled bake stores what a serial one does, also with more
+        workers than classes."""
+        pooled = BaselineArtifact.build(ring_network, executor="process", workers=workers)
+        assert pooled.fingerprint == ring_artifact.fingerprint
+        assert list(pooled.baselines) == list(ring_artifact.baselines)
+        for prefix, serial in ring_artifact.baselines.items():
+            baseline = pooled.baselines[prefix]
+            assert baseline.origins == serial.origins
+            assert baseline.labeling == serial.labeling
+            assert baseline.signature == serial.signature
+            assert baseline.partition == serial.partition
 
     def test_stats(self, ring_artifact):
         stats = ring_artifact.stats()
@@ -258,6 +273,49 @@ class TestStoreCorruption:
         assert not rebuilt
         assert reason == ""
         assert artifact.fingerprint == fingerprint
+
+
+# ----------------------------------------------------------------------
+# Older stores: a leftover per-class cost sidecar is ignored
+# ----------------------------------------------------------------------
+LEGACY_COSTS = Path(__file__).parent / "fixtures" / "legacy_costs_ring5.json"
+
+
+class TestLegacyCostsSidecar:
+    """Entries written by releases that recorded per-class scheduling
+    costs carry a ``costs.json`` beside ``meta.json``.  It is neither
+    part of the checksummed artifact nor read any more."""
+
+    @pytest.fixture()
+    def legacy(self, tmp_path, ring_artifact):
+        store = ArtifactStore(tmp_path)
+        entry = store.save(ring_artifact)
+        sidecar = json.loads(LEGACY_COSTS.read_text())
+        assert sidecar["fingerprint"] == ring_artifact.fingerprint
+        (entry / "costs.json").write_text(LEGACY_COSTS.read_text())
+        return store, entry, ring_artifact.fingerprint
+
+    def test_load_and_list_ignore_the_sidecar(self, legacy, ring_network):
+        store, _, fingerprint = legacy
+        artifact = store.load(fingerprint)
+        assert artifact.fingerprint == fingerprint
+        assert store.load_for(ring_network).fingerprint == fingerprint
+        assert [meta["fingerprint"] for meta in store.list()] == [fingerprint]
+
+    def test_load_or_build_does_not_rebuild(self, legacy, ring_network):
+        store, _, fingerprint = legacy
+        artifact, rebuilt, reason = store.load_or_build(ring_network)
+        assert not rebuilt and reason == ""
+        assert artifact.fingerprint == fingerprint
+
+    def test_delete_removes_the_entry(self, legacy):
+        store, entry, fingerprint = legacy
+        assert store.delete(fingerprint)
+        assert not store.has(fingerprint)
+        assert store.list() == []
+        with pytest.raises(StoreError) as excinfo:
+            store.load(fingerprint)
+        assert excinfo.value.reason == "missing"
 
 
 # ----------------------------------------------------------------------

@@ -9,21 +9,14 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.batch import PropertySuite
 from repro.config.transfer import build_srp_from_network
-from repro.delta import DeltaSweep, EdgeDiff, delta_class_task, delta_resolve
-from repro.failures import (
-    FailureSweep,
-    enumerate_link_failures,
-    failure_class_task,
-    incremental_resolve,
-    link_scenario,
-)
+from repro.delta import DeltaSweep, EdgeDiff, delta_resolve
+from repro.failures import FailureSweep, incremental_resolve, link_scenario
 from repro.netgen.changes import generated_change_script
 from repro.netgen.families import build_topology
 from repro.pipeline.cli import main as pipeline_main
 from repro.pipeline.encoded import EncodedNetwork
-from repro.srp.solver import COUNTERS, TransferCache, solve
+from repro.srp.solver import TransferCache, solve
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -43,6 +36,20 @@ def _timing_free(data):
     return data
 
 
+def _without_execution(data):
+    """Drop the fields naming how the sweep ran (executor, pool size)."""
+    return {key: value for key, value in data.items() if key not in ("executor", "workers")}
+
+
+@pytest.mark.parametrize(
+    "execution",
+    [
+        ["--executor", "serial"],
+        # ring(5) has 5 classes, fewer than two per worker.
+        ["--executor", "process", "--workers", "4"],
+    ],
+    ids=["serial", "process4"],
+)
 @pytest.mark.parametrize(
     "argv, fixture",
     [
@@ -53,13 +60,19 @@ def _timing_free(data):
         (["delta", "--family", "ring", "--size", "5"], "delta_ring5.json"),
     ],
 )
-def test_report_matches_pinned_oracle(tmp_path, capsys, argv, fixture):
+def test_report_matches_pinned_oracle(tmp_path, capsys, argv, fixture, execution):
     """The whole timing-free JSON report -- records, witnesses, soundness
-    and revalidation outcomes, aggregates -- equals the pinned one."""
+    and revalidation outcomes, aggregates -- equals the pinned one, on
+    either executor."""
     out = tmp_path / "report.json"
-    assert pipeline_main([*argv, "--executor", "serial", "--output", str(out)]) == 0
+    assert pipeline_main([*argv, *execution, "--output", str(out)]) == 0
     expected = json.loads((FIXTURES / fixture).read_text())
-    assert _timing_free(json.loads(out.read_text())) == expected
+    actual = _timing_free(json.loads(out.read_text()))
+    if execution[1] == "serial":
+        assert actual == expected
+    else:
+        assert actual["executor"] == "process" and actual["workers"] == 4
+        assert _without_execution(actual) == _without_execution(expected)
 
 
 def test_incremental_resolve_is_delta_resolve_on_a_removal_diff():
@@ -90,41 +103,10 @@ def test_incremental_resolve_is_delta_resolve_on_a_removal_diff():
     assert failure.incremental_used and change.incremental_used
 
 
-def _task_options(steps, **extra):
-    options = PropertySuite.default().to_options()
-    options.update(steps=[step.to_dict() for step in steps], oracle=False, **extra)
-    return options
-
-
-def test_only_chained_chunks_replay_the_step_before_them():
-    """A chunk of independent steps starts from the class baseline; a
-    chunk of chained steps scratch-solves the step before it.  Either way
-    the chunk's outcomes are the serial run's."""
-    network = build_topology("fattree", 4)
-    bonsai = EncodedNetwork.build(network).make_bonsai()
-    equivalence_class = bonsai.equivalence_classes()[0]
-    scenarios = enumerate_link_failures(network, 1)[:4]
-    script = generated_change_script(network, "fattree")
-    assert len(script) >= 3
-    runs = (
-        (failure_class_task, _task_options(scenarios, soundness=False), 1),
-        (delta_class_task, _task_options(script, revalidate=False), 2),
-    )
-    for task, options, chunk_solves in runs:
-        whole = task(bonsai, equivalence_class, options)
-        COUNTERS.reset()
-        chunk = task(bonsai, equivalence_class, dict(options, step_range=[2, 4]))
-        # Baseline solve, plus the replay of step 1 for chained steps.
-        assert COUNTERS.snapshot()["scratch_solves"] == chunk_solves
-        assert [o.canonical() for o in chunk.outcomes] == [
-            o.canonical() for o in whole.outcomes[2:4]
-        ]
-
-
 @pytest.mark.parametrize("mode", ["failures", "delta"])
-def test_split_units_match_serial_records(mode):
-    """Few classes and many workers split each class into step ranges;
-    the merged records equal the serial sweep's, abstraction checks on."""
+def test_process_records_match_serial_with_few_classes(mode):
+    """Fewer classes than workers: each class runs whole in one worker,
+    and the records equal the serial sweep's, abstraction checks on."""
     network = build_topology("fattree", 4)
     if mode == "failures":
         sweep, kwargs = FailureSweep, dict(k=1, limit=2)
@@ -132,6 +114,6 @@ def test_split_units_match_serial_records(mode):
         script = generated_change_script(network, "fattree")
         sweep, kwargs = DeltaSweep, dict(script=script, limit=2)
     serial = sweep(network, executor="serial", **kwargs).run()
-    split = sweep(network, executor="process", workers=4, **kwargs).run()
-    assert split.canonical_records() == serial.canonical_records()
-    assert split.ok()
+    pooled = sweep(network, executor="process", workers=4, **kwargs).run()
+    assert pooled.canonical_records() == serial.canonical_records()
+    assert pooled.ok()
